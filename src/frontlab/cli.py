@@ -26,7 +26,7 @@ import numpy as np
 from scipy.special import kolmogorov
 
 from . import __version__, engine, gumbel_exact, profile, zchain
-from .noise import BernoulliLaw, GumbelLaw, LatticeLaw, from_json, to_json
+from .noise import GumbelLaw, LatticeLaw, from_json, to_json
 
 DEFAULT_SEED = 1729
 
@@ -232,16 +232,8 @@ def _run_profile(args, seed):
                         "ref_quantiles": list(rep.ref_quantiles),
                         "seed": seed}
 
-    state = engine.initial_state(args.n)
+    state = engine.advance(engine.initial_state(args.n), law, rng, args.t)
     rate = law.rate if isinstance(law, GumbelLaw) else 1.0
-    front = engine.lse_front(rate)
-    for _ in range(args.t):
-        if isinstance(law, GumbelLaw):
-            state = engine.step_gumbel_exact(state, law, rng)
-        elif isinstance(law, (BernoulliLaw, LatticeLaw)):
-            state = engine.step(state, law, rng, front=front)
-        else:
-            state = engine.step_conditional(state, law, rng, front=front)
     loc = law.loc if isinstance(law, GumbelLaw) else 0.0
     if args.test == "ks":
         ks = profile.centered_ks(state, rate=rate, loc=loc)
@@ -477,7 +469,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="output path")
-        sp.add_argument("--seed", type=int, default=None)
+        # SUPPRESS: an absent subcommand --seed must not reset a value
+        # given before the subcommand
+        sp.add_argument("--seed", type=int, default=argparse.SUPPRESS,
+                        help="RNG seed (also accepted before the subcommand)")
     return parser
 
 

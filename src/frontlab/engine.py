@@ -29,6 +29,7 @@ __all__ = [
     "step_with_noise",
     "step_gumbel_exact",
     "step_conditional",
+    "advance",
     "is_renewal",
     "SpeedEstimate",
     "default_burn_in",
@@ -74,6 +75,25 @@ class FrontFunctional:
         if rank > positions.size:
             raise ValueError(f"rank {rank} exceeds N={positions.size}")
         return float(np.partition(positions, -rank)[-rank])
+
+    def rows(self, positions: np.ndarray) -> np.ndarray:
+        """The front of each row of a (T, N) block of configurations.
+
+        Equals ``self(row)`` row by row: exactly for max, min and order; lse
+        may differ in the last few ulp (vectorized log and row sums).
+        """
+        if self.kind == "max":
+            return positions.max(axis=1)
+        if self.kind == "min":
+            return positions.min(axis=1)
+        if self.kind == "lse":
+            m = positions.max(axis=1)
+            s = np.exp(self.param * (positions - m[:, None])).sum(axis=1)
+            return m + np.log(s) / self.param
+        rank = int(self.param)
+        if rank > positions.shape[1]:
+            raise ValueError(f"rank {rank} exceeds N={positions.shape[1]}")
+        return np.partition(positions, -rank, axis=1)[:, -rank]
 
     def label(self) -> str:
         if self.kind == "lse":
@@ -174,29 +194,58 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
         minlength=nb).astype(float)
 
     # expand the evaluation window until the conditional CDF covers
-    # [e^-60, 1 - 1e-12]
+    # [e^-60, 1 - 1e-12]; the end values are summed directly, in O(N),
+    # because the FFT's round-off (~1e-6) would swamp the 1e-12 test. The
+    # right pad counts from the log-sum-exp of the sources, where the CDF's
+    # upper tail sits; counted from their max it would straddle a doubling
+    # as max - lse varies from one configuration to the next.
+    top = log_sum_exp(pos, getattr(law, "rate", 1.0))
     pad_left, pad_right = 8.0, 16.0
     for _ in range(30):
-        k = int(math.ceil((hi - lo + pad_left + pad_right) / grid_step)) + 1
+        k = int(math.ceil((top - lo + pad_left + pad_right) / grid_step)) + 1
         x0 = lo - pad_left
-        offsets = (x0 - lo) + np.arange(-(nb - 1), k) * grid_step
-        table = law.log_cdf(offsets)
-        lcdf = fftconvolve(counts, table)[nb - 1:nb - 1 + k]
-        if lcdf[-1] < -1e-12:
+        ends = np.array([[x0], [x0 + (k - 1) * grid_step]])
+        left, right = law.log_cdf(ends - pos).sum(axis=1)
+        if right < -1e-12:
             pad_right *= 2.0
-        elif lcdf[0] > -60.0:
+        elif left > -60.0:
             pad_left *= 2.0
         else:
             break
     else:
         raise RuntimeError("conditional CDF window failed to converge")
 
+    offsets = (x0 - lo) + np.arange(-(nb - 1), k) * grid_step
+    lcdf = fftconvolve(counts, law.log_cdf(offsets))[nb - 1:nb - 1 + k]
     grid = x0 + np.arange(k) * grid_step
     lcdf = np.maximum.accumulate(lcdf)  # fft fuzz can break monotonicity
     keep = (lcdf > -60.0) & (lcdf < -1e-14)
     draws = np.interp(np.log(rng.random(n)), lcdf[keep], grid[keep])
     return ParticleState(positions=draws, t=state.t + 1,
                          prev_front=front(pos))
+
+
+def advance(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
+            steps: int, front: FrontFunctional | None = None
+            ) -> ParticleState:
+    """Take ``steps`` steps, each with the one-step kernel that fits the law.
+
+    Gumbel noise steps through :func:`step_gumbel_exact`, discrete laws
+    through the full :func:`step`, other continuous laws through
+    :func:`step_conditional`. ``front`` (default lse at rate 1) sets
+    prev_front for the latter two; the Gumbel step records the log-sum-exp
+    front at the noise rate.
+    """
+    if front is None:
+        front = lse_front(1.0)
+    for _ in range(steps):
+        if isinstance(law, GumbelLaw):
+            state = step_gumbel_exact(state, law, rng)
+        elif isinstance(law, (BernoulliLaw, LatticeLaw)):
+            state = step(state, law, rng, front=front)
+        else:
+            state = step_conditional(state, law, rng, front=front)
+    return state
 
 
 # ---------------------------------------------------------------------------
@@ -217,25 +266,51 @@ def default_burn_in(n: int) -> int:
     return min(10 * n ** n, 10_000)
 
 
-def _noise_blocks(law: NoiseLaw, n: int, steps: int, rng: np.random.Generator):
-    """Yield pre-drawn (b, n, n) noise tensors covering ``steps`` steps."""
-    block = max(1, min(steps, 4_000_000 // (n * n) or 1))
+def _noise_blocks(law: NoiseLaw, shape: tuple, steps: int,
+                  rng: np.random.Generator):
+    """Yield pre-drawn (b, *shape) noise blocks covering ``steps`` steps."""
+    block = max(1, min(steps, 4_000_000 // math.prod(shape) or 1))
     done = 0
     while done < steps:
         b = min(block, steps - done)
-        yield law.sample(rng, (b, n, n))
+        yield law.sample(rng, (b, *shape))
         done += b
 
 
+def _position_blocks(law: NoiseLaw, n: int, steps: int,
+                     rng: np.random.Generator, positions: np.ndarray):
+    """Yield (b, n) blocks of the positions after each of ``steps`` steps.
+
+    Gumbel noise takes the exact kernel: given X(t-1) the new positions are
+    Phi(X(t-1)) + G_t with G_t fresh i.i.d. draws of the law and Phi the
+    log-sum-exp at the noise rate, so Phi_t = Phi_{t-1} + Phi(G_t) and a
+    whole block follows from one cumsum. Every other law takes the full
+    O(N^2) step, one row of the block at a time.
+    """
+    if isinstance(law, GumbelLaw):
+        lse = lse_front(law.rate)
+        phi = log_sum_exp(positions, law.rate)
+        for fresh in _noise_blocks(law, (n,), steps, rng):
+            phis = phi + np.cumsum(lse.rows(fresh))
+            fresh += np.concatenate(([phi], phis[:-1]))[:, None]
+            phi = phis[-1]
+            yield fresh
+        return
+    for noise in _noise_blocks(law, (n, n), steps, rng):
+        block = np.empty((noise.shape[0], n))
+        for t in range(noise.shape[0]):
+            block[t] = positions = step_with_noise(positions, noise[t])
+        yield block
+
+
 def _run_fronts(law, n, steps, rng, front, positions):
-    """Run ``steps`` full steps, returning the front value after each."""
+    """Run ``steps`` steps, returning the front value after each."""
     fronts = np.empty(steps)
     i = 0
-    for noise in _noise_blocks(law, n, steps, rng):
-        for t in range(noise.shape[0]):
-            positions = step_with_noise(positions, noise[t])
-            fronts[i] = front(positions)
-            i += 1
+    for block in _position_blocks(law, n, steps, rng, positions):
+        fronts[i:i + block.shape[0]] = front.rows(block)
+        i += block.shape[0]
+        positions = block[-1].copy()  # do not pin the whole block
     return fronts, positions
 
 
@@ -245,10 +320,12 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                    n_batches: int = 32, positions=None) -> SpeedEstimate:
     """Batch-means speed estimate over a single long run.
 
-    Burn-in defaults to :func:`default_burn_in`. The run is cut into
-    ``n_batches`` equal batches of front increments; the reported sigma2 is
-    the batch-means estimate of the per-step CLT variance and std_err is the
-    usual batch-means standard error of the mean increment.
+    The run is exact in law: Gumbel noise takes the O(N) exact kernel,
+    every other law the full O(N^2) step. Burn-in defaults to
+    :func:`default_burn_in`. The run is cut into ``n_batches`` equal batches
+    of front increments; the reported sigma2 is the batch-means estimate of
+    the per-step CLT variance and std_err is the usual batch-means standard
+    error of the mean increment.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -333,21 +410,21 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
                    rng: np.random.Generator | None = None,
                    front: FrontFunctional = MAX_FRONT,
                    positions=None) -> np.ndarray:
-    """Full dynamics for t steps; rows (t, phi, max, min, gap) incl. t=0."""
+    """Dynamics for t steps; rows (t, phi, max, min, gap) incl. t=0.
+
+    Exact in law: Gumbel noise runs the O(N) exact kernel, every other law
+    the full O(N^2) step.
+    """
     if rng is None:
         rng = np.random.default_rng()
-    state = initial_state(n, positions)
-    pos = state.positions
+    pos = initial_state(n, positions).positions
     rows = np.empty((t + 1, 5))
-
-    def record(i, p):
-        rows[i] = (i, front(p), p.max(), p.min(), p.max() - p.min())
-
-    record(0, pos)
-    i = 0
-    for noise in _noise_blocks(law, n, t, rng):
-        for s in range(noise.shape[0]):
-            pos = step_with_noise(pos, noise[s])
-            i += 1
-            record(i, pos)
+    rows[0] = (0, front(pos), pos.max(), pos.min(), pos.max() - pos.min())
+    i = 1
+    for block in _position_blocks(law, n, t, rng, pos):
+        hi, lo = block.max(axis=1), block.min(axis=1)
+        rows[i:i + block.shape[0]] = np.column_stack(
+            (np.arange(i, i + block.shape[0]), front.rows(block), hi, lo,
+             hi - lo))
+        i += block.shape[0]
     return rows

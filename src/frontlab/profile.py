@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine, gumbel_exact
 from .engine import ParticleState, initial_state, lse_front
-from .noise import BernoulliLaw, GumbelLaw, LatticeLaw, NoiseLaw
+from .noise import GumbelLaw, NoiseLaw
 
 __all__ = [
     "ProfileSample",
@@ -138,13 +138,6 @@ class MarginalReport:
     max_corr: float        # largest |off-diagonal| sample correlation
 
 
-def _ks_to_gumbel(sample, rate, loc) -> float:
-    ys = np.sort(sample)
-    cdf = np.exp(-np.exp(-rate * (ys - loc)))
-    steps = np.arange(ys.size + 1) / ys.size
-    return float(max(np.max(steps[1:] - cdf), np.max(cdf - steps[:-1])))
-
-
 def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
                          rng: np.random.Generator, k: int = 4,
                          replicas: int = 200, target_rate: float = 1.0,
@@ -154,9 +147,10 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
     Runs ``replicas`` independent systems for t steps, extracts
     X_j(t) - Phi(X(t-1)) for the first k particles, and reports the
     per-coordinate Kolmogorov distance to Gumbel(target_loc, 1/target_rate)
-    plus the largest pairwise sample correlation. Gumbel noise steps through
-    the exact one-step law; other continuous laws use the conditional
-    sampler; discrete laws fall back to the direct O(N^2) recursion.
+    plus the largest pairwise sample correlation. Each replica steps through
+    :func:`engine.advance`: the exact one-step law for Gumbel noise, the
+    conditional sampler for other continuous laws, and the direct O(N^2)
+    recursion for discrete laws.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -165,16 +159,11 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
     front = lse_front(target_rate)
     sample = np.empty((replicas, k))
     for r in range(replicas):
-        state = initial_state(n)
-        for _ in range(t):
-            if isinstance(law, GumbelLaw):
-                state = engine.step_gumbel_exact(state, law, rng)
-            elif isinstance(law, (BernoulliLaw, LatticeLaw)):
-                state = engine.step(state, law, rng, front=front)
-            else:
-                state = engine.step_conditional(state, law, rng, front=front)
+        state = engine.advance(initial_state(n), law, rng, t, front=front)
         sample[r] = state.positions[:k] - state.prev_front
-    ks = np.array([_ks_to_gumbel(sample[:, j], target_rate, target_loc)
+    # each column is already centered: a state at offset 0 carries it
+    ks = np.array([centered_ks(ParticleState(sample[:, j], t, 0.0),
+                               target_rate, target_loc)
                    for j in range(k)])
     if k > 1:
         corr = np.corrcoef(sample, rowvar=False)
@@ -275,9 +264,7 @@ def fluctuation_experiment(n_list, t: int, x: float,
              + math.log(n) / law.rate)
         stat = np.empty(replicas)
         for r in range(replicas):
-            state = initial_state(n)
-            for _ in range(t):
-                state = engine.step_gumbel_exact(state, law, rng)
+            state = engine.advance(initial_state(n), law, rng, t)
             stat[r] = math.log(n) * (np.mean(state.positions > y) - u_x)
         stat_q[row] = np.quantile(stat, levels)
 

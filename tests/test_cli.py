@@ -297,6 +297,15 @@ def test_seed_flag_changes_output(capsys):
     assert out_b == out_c
 
 
+def test_seed_before_the_subcommand_is_honoured(capsys):
+    base = ["gumbel", "--N", "10", "--samples", "2000"]
+    _, before, _ = run(["--seed", "7"] + base, capsys)
+    _, after, _ = run(base + ["--seed", "7"], capsys)
+    _, default, _ = run(base, capsys)
+    assert before == after
+    assert before != default
+
+
 def test_seed_env_matches_flag(monkeypatch, capsys):
     base = ["zchain", "--dist", "bernoulli", "--N", "2", "--q", "0.5",
             "--steps", "2000"]

@@ -284,3 +284,156 @@ def test_run_trajectory_max_front_between_bounds(rng):
     assert np.all(table[:, 1] == table[:, 2])
     gaps = table[:, 2] - table[:, 3]
     np.testing.assert_allclose(table[:, 4], gaps)
+
+
+# ---------------------------------------------------------------------------
+# the block-wise stepping core
+
+
+def per_step_run(law, n, t, rng, front, pos):
+    # reference: one noise draw, one full step and one front call per step;
+    # returns the fronts and the positions after each step
+    fronts, history = np.empty(t), np.empty((t, n))
+    for i in range(t):
+        history[i] = pos = step_with_noise(pos, law.sample(rng, (n, n)))
+        fronts[i] = front(pos)
+    return fronts, history
+
+
+def assert_fronts_equal(got, want, front):
+    if front.kind == "lse":
+        # vectorized log and row sums may move the last few ulp
+        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
+    else:
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("law, n", [(BernoulliLaw(0.5), 4), (THREE_ATOM, 3)])
+@pytest.mark.parametrize("front", [MAX_FRONT, lse_front(1.0)])
+def test_full_step_core_is_the_per_step_loop(law, n, front):
+    start = np.array([0.0, -0.5, -2.0, 1.0])[:n]
+    table = run_trajectory(law, n, 300, make_rng(21), front=front,
+                           positions=start)
+    fronts, history = per_step_run(law, n, 300, make_rng(21), front, start)
+    assert_fronts_equal(table[1:, 1], fronts, front)
+    assert table[0, 1] == front(start)
+    # the max and min columns pin the positions bit for bit
+    hi, lo = history.max(axis=1), history.min(axis=1)
+    np.testing.assert_array_equal(table[1:, 2:], np.column_stack(
+        (hi, lo, hi - lo)))
+
+    burn, run, batches = 50, 640, 32
+    est = engine.estimate_speed(law, n, front=front, t_burn=burn, t_run=run,
+                                rng=make_rng(22), n_batches=batches,
+                                positions=start)
+    rng = make_rng(22)
+    _, history = per_step_run(law, n, burn, rng, front, start)
+    f0 = front(history[-1])
+    fronts, _ = per_step_run(law, n, run, rng, front, history[-1])
+    length = run // batches
+    means = np.diff(np.concatenate(([f0], fronts[length - 1::length]))) \
+        / length
+    want = ((fronts[-1] - f0) / run,
+            np.std(means, ddof=1) / math.sqrt(batches),
+            length * np.var(means, ddof=1))
+    got = (est.value, est.std_err, est.sigma2)
+    if front.kind == "lse":
+        np.testing.assert_allclose(got, want, rtol=1e-9)
+    else:
+        assert got == want
+
+
+def full_step_positions(law, n, t, rng):
+    # the O(N^2) recursion, one engine.step call per step
+    state = initial_state(n)
+    out = np.empty((t, n))
+    for i in range(t):
+        state = step(state, law, rng)
+        out[i] = state.positions
+    return out
+
+
+@pytest.mark.parametrize("n, t", [(2, 20_000), (64, 2000)])
+def test_exact_gumbel_kernel_matches_full_step_in_law(n, t):
+    # X(t) = Phi(X(t-1)) + fresh Gumbel draws, so any front's increments
+    # have the same joint law under both kernels; loc and rate are off the
+    # defaults so a slip in either shows
+    law = GumbelLaw(loc=0.3, rate=1.5)
+    full = full_step_positions(law, n, t, make_rng(31))
+    for front in (lse_front(law.rate), MAX_FRONT):
+        exact = np.diff(run_trajectory(law, n, t, make_rng(32),
+                                       front=front)[20:, 1])
+        ref = np.diff([front(p) for p in full[19:]])
+        p = stats.ks_2samp(exact, ref).pvalue
+        lag1 = [np.corrcoef(d[:-1], d[1:])[0, 1] for d in (exact, ref)]
+        assert p > 1e-3, (front.label(), p)
+        assert abs(lag1[0] - lag1[1]) <= 4 * math.sqrt(2.0 / t), lag1
+
+
+def test_exact_gumbel_kernel_keeps_the_start():
+    # the kernel starts from Phi of the given positions, not of zeros
+    law = GumbelLaw()
+    start = np.array([5.0, -3.0, 0.5])
+    table = run_trajectory(law, 3, 1, make_rng(33), front=lse_front(1.0),
+                           positions=start)
+    fresh = law.sample(make_rng(33), (1, 3))[0]
+    want = log_sum_exp(start) + log_sum_exp(fresh)
+    assert table[1, 1] == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("front", [MAX_FRONT, MIN_FRONT, order_front(1),
+                                   order_front(3), lse_front(1.0),
+                                   lse_front(0.3)])
+@pytest.mark.parametrize("n", [1, 3, 257])
+def test_front_rows_match_the_scalar_front(front, n, rng):
+    if front.kind == "order" and front.param > n:
+        with pytest.raises(ValueError):
+            front.rows(np.zeros((2, n)))
+        return
+    block = rng.normal(size=(50, n)) * 5.0
+    want = np.array([front(row) for row in block])
+    assert_fronts_equal(front.rows(block), want, front)
+
+
+def test_advance_is_the_per_step_ladder():
+    front = lse_front(2.0)
+    for law in (GumbelLaw(rate=1.5), BernoulliLaw(0.3), THREE_ATOM,
+                SandwichedGumbelLaw(-0.3, 0.3)):
+        got = engine.advance(initial_state(50), law, make_rng(41), 3,
+                             front=front)
+        rng = make_rng(41)
+        want = initial_state(50)
+        for _ in range(3):
+            if isinstance(law, GumbelLaw):
+                want = step_gumbel_exact(want, law, rng)
+            elif isinstance(law, SandwichedGumbelLaw):
+                want = step_conditional(want, law, rng, front=front)
+            else:
+                want = step(want, law, rng, front=front)
+        np.testing.assert_array_equal(got.positions, want.positions)
+        assert (got.t, got.prev_front) == (want.t, want.prev_front)
+
+
+def test_step_conditional_window_is_seed_independent(monkeypatch):
+    # the window ends are judged from exact sums and the right pad counts
+    # from the log-sum-exp of the sources, so the number of window passes
+    # does not hang on FFT round-off or on where the cloud's maximum falls
+    law = SandwichedGumbelLaw(-0.5, 0.5)
+    calls = []
+    log_cdf = SandwichedGumbelLaw.log_cdf
+
+    def counted(self, x):
+        calls.append(1)
+        return log_cdf(self, x)
+
+    monkeypatch.setattr(SandwichedGumbelLaw, "log_cdf", counted)
+    passes = []
+    for seed in (1, 2, 3, 4, 5):
+        rng = make_rng(seed)
+        state = initial_state(20_000)
+        for _ in range(2):
+            state = step_conditional(state, law, rng)
+        calls.clear()
+        step_conditional(state, law, rng)
+        passes.append(len(calls))
+    assert len(set(passes)) == 1, passes
