@@ -132,25 +132,28 @@ def _run_gumbel(args, seed):
         [[k, _fmt(v), _fmt(s) if s != "" else ""] for k, v, s in rows]
 
 
-def _zchain_cell(dist, n, q, probs, mode, steps, window, seed):
-    """One zchain speed row; shared by the subcommand and sweep workers."""
+def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
+    """One zchain speed row; shared by the subcommand and sweep workers.
+
+    The gap to the top speed is read off the chain directly (nu(0), or the
+    summed dive probabilities), not as top - v, which cancels in float.
+    """
     exact = mode == "precise"
-    rng = _rng(seed)
     if dist == "bernoulli":
         qv = zchain.parse_q(Fraction(q) if exact else q, exact)
         v_exact = zchain.bernoulli_speed(n, qv, exact=exact)
+        gap = zchain.bernoulli_stationary(n, qv, exact=exact)[0]
         sim = zchain.bernoulli_chain_sim(n, float(qv), steps, rng)
-        gap = 1.0 - float(v_exact)
         q_out = float(qv)
     else:
         law = from_json(probs)
         if not isinstance(law, LatticeLaw):
             raise ValueError("--probs must describe a lattice law")
-        v_exact = zchain.lattice_speed(law, n, window=window).value
+        rep = zchain.lattice_speed(law, n, window=window)
+        v_exact, gap = rep.value, rep.ladder.sum()
         sim = zchain.lattice_chain_sim(law, n, steps, rng, window=window)
-        gap = law.top - float(v_exact)
         q_out = 1.0 - law.prob_of(law.top)
-    ratio = gap / (q_out ** (n * n) * 2.0 ** n)
+    ratio = float(gap) / (q_out ** (n * n) * 2.0 ** n)
     return [n, q_out, float(v_exact), sim.value, sim.std_err, ratio]
 
 
@@ -164,7 +167,7 @@ def _run_zchain(args, seed):
         if exact and args.dist == "lattice":
             raise ValueError("precise mode covers the two-point chain only")
         row = _zchain_cell(args.dist, args.n, args.q, args.probs, args.mode,
-                           args.steps, args.window, seed)
+                           args.steps, args.window, _rng(seed))
         header = ["N", "q", "v_exact", "v_sim", "se", "ratio_to_asymptotic"]
         if args.emit == "json":
             return "json", dict(zip(header, row), seed=seed)
@@ -273,13 +276,13 @@ def _rng_for_cell(seed: int, index: int) -> np.random.Generator:
 
 def _sweep_cell(task, n, q, samples, steps, u_grid, seed, index):
     try:
+        rng = _rng_for_cell(seed, index)
         if task == "zchain":
             row = _zchain_cell("bernoulli", n, q, None, "float", steps,
-                               16, _cell_seed(seed, index))
+                               16, rng)
             return [str(row[0])] + [_fmt(v) for v in row[1:]] + ["ok"]
         grid = _parse_grid(u_grid)
         grid = grid[np.abs(grid) > 1e-12]
-        rng = _rng_for_cell(seed, index)
         samples_arr = gumbel_exact.normalized_increment_samples(
             n, samples, rng)
         dist = gumbel_exact.cf_distance(samples_arr, grid)
@@ -288,11 +291,6 @@ def _sweep_cell(task, n, q, samples, steps, u_grid, seed, index):
         width = 7 if task == "zchain" else 3
         head = [str(n)] if q is None else [str(n), str(q)]
         return head + [""] * (width - len(head) - 1) + [f"failed: {e}"]
-
-
-def _cell_seed(seed: int, index: int) -> int:
-    return int(np.random.SeedSequence(seed).spawn(index + 1)[index]
-               .generate_state(1, np.uint64)[0] % (2 ** 63))
 
 
 def _run_sweep(args, seed):

@@ -33,6 +33,7 @@ __all__ = [
     "is_renewal",
     "SpeedEstimate",
     "default_burn_in",
+    "batch_means",
     "estimate_speed",
     "renewal_speed",
     "run_trajectory",
@@ -178,8 +179,6 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     draws come from inverse transform on the tabulated L. Discrete laws are
     rejected (interpolation would smear their atoms).
     """
-    from scipy.signal import fftconvolve
-
     if isinstance(law, (LatticeLaw, BernoulliLaw)):
         raise TypeError("step_conditional needs a continuous noise law")
     if front is None:
@@ -216,7 +215,15 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
         raise RuntimeError("conditional CDF window failed to converge")
 
     offsets = (x0 - lo) + np.arange(-(nb - 1), k) * grid_step
-    lcdf = fftconvolve(counts, law.log_cdf(offsets))[nb - 1:nb - 1 + k]
+    # Every term of L is <= 0, so flooring the tabulated log-CDF at -60
+    # leaves L unchanged wherever L > -60, the only part that is kept; it
+    # stops terms near -1e10 from far sources filling the FFT's round-off.
+    # The circular convolution has length >= offsets.size: what wraps
+    # around lands below index nb - 1, outside the kept slice.
+    size = 1 << (offsets.size - 1).bit_length()
+    spec = (np.fft.rfft(counts, size)
+            * np.fft.rfft(np.maximum(law.log_cdf(offsets), -60.0), size))
+    lcdf = np.fft.irfft(spec, size)[nb - 1:nb - 1 + k]
     grid = x0 + np.arange(k) * grid_step
     lcdf = np.maximum.accumulate(lcdf)  # fft fuzz can break monotonicity
     keep = (lcdf > -60.0) & (lcdf < -1e-14)
@@ -264,6 +271,24 @@ class SpeedEstimate:
 def default_burn_in(n: int) -> int:
     # 10x the worst-case expected renewal wait N^N, capped
     return min(10 * n ** n, 10_000)
+
+
+def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
+    """Batch-means speed of a cumulative path (start, then after each step).
+
+    The first ``n_batches * length`` steps, ``length = steps // n_batches``,
+    are cut into equal batches; value is the mean increment over them,
+    std_err the batch-means standard error and sigma2 the batch-means
+    estimate of the per-step CLT variance.
+    """
+    length = (path.size - 1) // n_batches
+    used = length * n_batches
+    means = np.diff(path[:used + 1:length]) / length
+    return SpeedEstimate(
+        value=float((path[used] - path[0]) / used),
+        std_err=float(np.std(means, ddof=1) / math.sqrt(n_batches)),
+        sigma2=float(length * np.var(means, ddof=1)),
+        n_blocks=n_batches, method="batch_means")
 
 
 def _noise_blocks(law: NoiseLaw, shape: tuple, steps: int,
@@ -341,16 +366,7 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         _, pos = _run_fronts(law, n, t_burn, rng, front, pos)
     f0 = front(pos)
     fronts, _ = _run_fronts(law, n, t_run, rng, front, pos)
-
-    length = t_run // n_batches
-    used = length * n_batches
-    ends = np.concatenate(([f0], fronts[length - 1:used:length]))
-    means = np.diff(ends) / length
-    v_hat = (fronts[used - 1] - f0) / used
-    se = float(np.std(means, ddof=1) / math.sqrt(n_batches))
-    sigma2 = float(length * np.var(means, ddof=1))
-    return SpeedEstimate(value=float(v_hat), std_err=se, sigma2=sigma2,
-                         n_blocks=n_batches, method="batch_means")
+    return batch_means(np.concatenate(([f0], fronts)), n_batches)
 
 
 def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,

@@ -21,7 +21,6 @@ __all__ = [
     "LatticeLaw",
     "SandwichedGumbelLaw",
     "SandwichReport",
-    "epsilon_of",
     "check_sandwich",
     "shift_bounds_for_delta",
     "to_json",
@@ -251,11 +250,6 @@ class SandwichReport:
 
     def shift_bounds(self) -> tuple[float, float]:
         return shift_bounds_for_delta(self.delta_max)
-
-
-def epsilon_of(law: NoiseLaw, x) -> np.ndarray:
-    """Gumbel comparison index of any law (vectorized)."""
-    return law.epsilon(x)
 
 
 def shift_bounds_for_delta(delta: float) -> tuple[float, float]:

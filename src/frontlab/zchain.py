@@ -16,9 +16,14 @@ probability s_r = prod_w F(r - d_w)^{c_w} - prod_w F(r - 1 - d_w)^{c_w}
 classes, and the state recenters on the realized maximum. Speeds come from
 the stationary mean of the per-step leader displacement.
 
-Float arithmetic dies by underflow near q^{N^2} ~ 1e-308; the ``exact`` mode
-runs the same solves in rational arithmetic (exact with respect to the binary
-float inputs).
+Stationary laws come from one Grassmann-Taksar-Heyman elimination, which
+never subtracts: float stationary laws, and the gaps nu(0) and dive ladders
+read off them, are relatively accurate down to underflow (nu(0) ~ q^{N^2} 2^N
+reads 0 below ~1e-308). ``exact`` only picks the arithmetic: the same code
+runs on Fractions (exact with respect to the binary float inputs), with
+Gauss-Jordan in place of LAPACK for the first-step systems of the return-time
+and hitting analyses. Those systems hold I - P, so their float results lose
+accuracy as q^{N^2} shrinks; exact mode does not.
 """
 from __future__ import annotations
 
@@ -30,7 +35,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import SpeedEstimate
+from .engine import SpeedEstimate, batch_means
 from .noise import LatticeLaw
 
 __all__ = [
@@ -108,9 +113,10 @@ def bernoulli_row(n: int, q, m: int, exact: bool = False):
     return row if exact else np.array(row)
 
 
-def bernoulli_matrix(n: int, q, exact: bool = False):
+def bernoulli_matrix(n: int, q, exact: bool = False) -> np.ndarray:
+    """Transition matrix; float, or object dtype holding Fractions."""
     rows = [bernoulli_row(n, q, m, exact) for m in range(n + 1)]
-    return rows if exact else np.array(rows)
+    return np.array(rows, dtype=object if exact else float)
 
 
 def _fraction_solve(a, b):
@@ -128,7 +134,38 @@ def _fraction_solve(a, b):
             if r != col and aug[r][col] != 0:
                 f = aug[r][col]
                 aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return [aug[i][n] for i in range(n)]
+    return np.array([aug[i][n] for i in range(n)], dtype=object)
+
+
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """LAPACK for float systems, Gauss-Jordan for object (Fraction) ones."""
+    if a.dtype == object:
+        return _fraction_solve(a, b)
+    return np.linalg.solve(a, b)
+
+
+def _stationary(p: np.ndarray) -> np.ndarray:
+    """Stationary law of an irreducible chain by GTH elimination.
+
+    Grassmann-Taksar-Heyman (Oper. Res. 33(5), 1985): censor the states
+    from the last down to the first, then rebuild the law from state 0.
+    Only sums, products and quotients of nonnegative numbers occur, so
+    float results are relatively accurate entry by entry (no cancellation)
+    and object arrays of Fractions come out exact. The diagonal of ``p``
+    is never read. The back-substitution renormalizes as it goes, so a
+    state far less likely than state 0 cannot overflow it.
+    """
+    a = p.copy()
+    n = a.shape[0]
+    for k in range(n - 1, 0, -1):
+        a[:k, k] /= a[k, :k].sum()
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    x = np.zeros(n, dtype=a.dtype)
+    x[0] = 1
+    for k in range(1, n):
+        x[k] = x[:k] @ a[:k, k]
+        x[:k + 1] /= x[:k + 1].sum()
+    return x
 
 
 def bernoulli_stationary(n: int, q, exact: bool = False):
@@ -137,43 +174,16 @@ def bernoulli_stationary(n: int, q, exact: bool = False):
         raise ValueError("need n >= 1")
     if n > _MAX_DENSE_N:
         raise ValueError(f"dense solve capped at n = {_MAX_DENSE_N}")
-    p = bernoulli_matrix(n, q, exact)
-    if exact:
-        # nu (P - I) = 0 with Sum nu = 1, transposed to columns
-        a = [[p[j][i] - (1 if i == j else 0) for j in range(n + 1)]
-             for i in range(n + 1)]
-        a[n] = [Fraction(1)] * (n + 1)
-        b = [Fraction(0)] * n + [Fraction(1)]
-        return _fraction_solve(a, b)
-    a = p.T - np.eye(n + 1)
-    a[-1] = 1.0
-    b = np.zeros(n + 1)
-    b[-1] = 1.0
-    try:
-        nu = np.linalg.solve(a, b)
-    except np.linalg.LinAlgError as e:
-        raise RuntimeError(
-            f"float stationary solve failed at n={n}, q={q} "
-            f"(q^(n^2) underflow?); use exact mode") from e
-    return nu
+    nu = _stationary(bernoulli_matrix(n, q, exact))
+    return list(nu) if exact else nu
 
 
 def expected_return_time(n: int, q, exact: bool = False):
     """Expected first return time to count 0, by first-step analysis."""
     p = bernoulli_matrix(n, q, exact)
-    if exact:
-        # h_j = E_j[T_0] for j in 1..n solves (I - P_interior) h = 1
-        a = [[(1 if i == j else 0) - p[i][j] for j in range(1, n + 1)]
-             for i in range(1, n + 1)]
-        h = _fraction_solve(a, [Fraction(1)] * n)
-        return 1 + sum(p[0][j] * h[j - 1] for j in range(1, n + 1))
-    a = np.eye(n) - p[1:, 1:]
-    try:
-        h = np.linalg.solve(a, np.ones(n))
-    except np.linalg.LinAlgError as e:
-        raise RuntimeError(
-            f"return-time solve failed at n={n}, q={q}; use exact mode") from e
-    return 1.0 + float(p[0, 1:] @ h)
+    # h_j = E_j[T_0] for j in 1..n solves (I - P_interior) h = 1
+    h = _solve(np.eye(n, dtype=int) - p[1:, 1:], np.ones(n, dtype=int))
+    return 1 + p[0, 1:] @ h
 
 
 def kac_residual(n: int, q, exact: bool = False):
@@ -202,17 +212,11 @@ def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
     q = parse_q(q, exact=False)
     powers = np.array([1 - q ** (m if m >= 1 else n) for m in range(n + 1)])
     m = n
-    moved = np.empty(steps)
+    moved = np.zeros(steps + 1)
     for t in range(steps):
         m = rng.binomial(n, powers[m])
-        moved[t] = 1.0 if m >= 1 else 0.0
-    length = steps // n_batches
-    means = moved[:length * n_batches].reshape(n_batches, length).mean(axis=1)
-    return SpeedEstimate(value=float(moved.mean()),
-                         std_err=float(np.std(means, ddof=1)
-                                       / math.sqrt(n_batches)),
-                         sigma2=float(length * np.var(means, ddof=1)),
-                         n_blocks=n_batches, method="batch_means")
+        moved[t + 1] = 1.0 if m >= 1 else 0.0
+    return batch_means(np.cumsum(moved), n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -255,52 +259,25 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
         raise ValueError(f"hitting analysis supports 2 <= n <= {_MAX_HITTING_N}")
     qv = parse_q(q, exact)
     p = bernoulli_matrix(n, qv, exact)
-    one = Fraction(1) if exact else 1.0
-    interior = range(1, n)
-
-    if exact:
-        eye = lambda i, j: Fraction(1) if i == j else Fraction(0)
-        a = [[eye(i, j) - p[i][j] for j in interior] for i in interior]
-        solve = _fraction_solve
-        b0 = [p[i][0] for i in interior]
-        bn = [p[i][n] for i in interior]
-        u = solve(a, b0)
-        w = solve(a, [b0[i] + sum(p[r][j] * u[j - 1] for j in interior)
-                      for i, r in enumerate(interior)])
-        ubar = [one - x for x in u]
-        wbar = solve(a, [bn[i] + sum(p[r][j] * ubar[j - 1] for j in interior)
-                         for i, r in enumerate(interior)])
-        row = p[n]
-        prob = row[0] + sum(row[j] * u[j - 1] for j in interior)
-        t_mass = row[0] + sum(row[j] * (u[j - 1] + w[j - 1]) for j in interior)
-        prob_top = row[n] + sum(row[j] * ubar[j - 1] for j in interior)
-        t_top_mass = row[n] + sum(row[j] * (ubar[j - 1] + wbar[j - 1])
-                                  for j in interior)
-        ret = [[eye(i, j) - p[i][j] for j in range(1, n + 1)]
-               for i in range(1, n + 1)]
-        h = solve(ret, [one] * n)
-        mean_bottom = one + sum(p[n][j] * h[j - 1] for j in range(1, n + 1))
-        prob1 = row[0]
-        prob2 = sum(row[j] * p[j][0] for j in interior)
-    else:
-        a = np.eye(n - 1) - p[1:n, 1:n]
-        u = np.linalg.solve(a, p[1:n, 0])
-        w = np.linalg.solve(a, p[1:n, 0] + p[1:n, 1:n] @ u)
-        ubar = 1.0 - u
-        wbar = np.linalg.solve(a, p[1:n, n] + p[1:n, 1:n] @ ubar)
-        row = p[n]
-        prob = row[0] + row[1:n] @ u
-        t_mass = row[0] + row[1:n] @ (u + w)
-        prob_top = row[n] + row[1:n] @ ubar
-        t_top_mass = row[n] + row[1:n] @ (ubar + wbar)
-        h = np.linalg.solve(np.eye(n) - p[1:, 1:], np.ones(n))
-        mean_bottom = 1.0 + row[1:] @ h
-        prob1 = row[0]
-        prob2 = row[1:n] @ p[1:n, 0]
+    inner = p[1:n, 1:n]
+    a = np.eye(n - 1, dtype=int) - inner
+    u = _solve(a, p[1:n, 0])
+    w = _solve(a, p[1:n, 0] + inner @ u)
+    ubar = 1 - u
+    wbar = _solve(a, p[1:n, n] + inner @ ubar)
+    row = p[n]
+    prob = row[0] + row[1:n] @ u
+    t_mass = row[0] + row[1:n] @ (u + w)
+    prob_top = row[n] + row[1:n] @ ubar
+    t_top_mass = row[n] + row[1:n] @ (ubar + wbar)
+    h = _solve(np.eye(n, dtype=int) - p[1:, 1:], np.ones(n, dtype=int))
+    mean_bottom = 1 + row[1:] @ h
+    prob1 = row[0]
+    prob2 = row[1:n] @ p[1:n, 0]
 
     mean_bottom_first = t_mass / prob
     mean_top_first = t_top_mass / prob_top
-    identity = mean_bottom - ((one - prob) / prob * mean_top_first
+    identity = mean_bottom - ((1 - prob) / prob * mean_top_first
                               + mean_bottom_first)
     closed1 = qv ** (n * n)
     closed2 = qv ** (n * n) * ((2 - qv ** n) ** n - 1 - (1 - qv ** n) ** n)
@@ -447,17 +424,11 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
     for attempt in range(widenings + 1):
         states, rows, cums = _lattice_chain(law, n, window, max_states)
         size = len(states)
-        a = np.zeros((size, size))
+        p = np.zeros((size, size))
         for i, row in enumerate(rows):
-            for j, p in row.items():
-                a[j, i] = p
-        a -= np.eye(size)
-        a[-1] = 1.0
-        b = np.zeros(size)
-        b[-1] = 1.0
-        nu = np.linalg.solve(a, b)
-        nu = np.clip(nu, 0.0, None)
-        nu /= nu.sum()
+            for j, prob in row.items():
+                p[i, j] = prob
+        nu = _stationary(p)
 
         arr = np.array(states)
         boundary = float(nu[arr[:, 0] > 0].sum())
@@ -490,17 +461,11 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
         raise ValueError("steps must cover the batches")
     counts = np.zeros(window, dtype=int)
     counts[-1] = n
-    moves = np.empty(steps)
+    moves = np.zeros(steps + 1)
     for t in range(steps):
         counts, phi = lattice_step(counts, law, rng)
-        moves[t] = phi
-    length = steps // n_batches
-    means = moves[:length * n_batches].reshape(n_batches, length).mean(axis=1)
-    return SpeedEstimate(value=float(moves.mean()),
-                         std_err=float(np.std(means, ddof=1)
-                                       / math.sqrt(n_batches)),
-                         sigma2=float(length * np.var(means, ddof=1)),
-                         n_blocks=n_batches, method="batch_means")
+        moves[t + 1] = phi
+    return batch_means(np.cumsum(moves), n_batches)
 
 
 # ---------------------------------------------------------------------------

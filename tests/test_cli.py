@@ -237,6 +237,16 @@ def test_sweep_zchain_grid(capsys):
     assert all(r[-1] == "ok" for r in rows)
 
 
+def test_sweep_zchain_ratio_does_not_cancel(capsys):
+    # the gap nu(0) ~ 4e-17 is read off the chain, not as 1 - v (= 0.0)
+    code, out, _ = run(["sweep", "--task", "zchain", "--N", "8",
+                        "--q", "0.5", "--workers", "1"], capsys)
+    assert code == 0
+    header, rows = parse_csv(out)
+    ratio = float(dict(zip(header, rows[0]))["ratio_to_asymptotic"])
+    assert ratio == pytest.approx(3.149090244193517, rel=1e-12)
+
+
 def test_sweep_partial_failure_exits_4(capsys):
     code, out, _ = run(["sweep", "--task", "zchain", "--N", "2",
                         "--q", "0.5", "--q", "1.5", "--steps", "1000",

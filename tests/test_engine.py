@@ -210,6 +210,25 @@ def test_step_conditional_vs_full_step_two_sample(rng):
     assert stats.ks_2samp(a, b).pvalue > 1e-3
 
 
+@pytest.mark.parametrize("stragglers", [0, 10])
+def test_step_conditional_law_is_not_fft_round_off(stragglers):
+    # one conditional step at N = 10^5 from a spread cloud, against the
+    # exact conditional CDF prod_j F(x - X_j) at 200 order statistics. Far
+    # sources put log-CDF terms near -1e10 into the convolution; unless
+    # they are floored, their round-off bends the sampled law (KS ~0.46
+    # for the wide cloud) or leaves no grid point to invert (stragglers)
+    law = SandwichedGumbelLaw(-0.5, 0.5)
+    start = 1.5 * make_rng(1).gumbel(size=100_000)
+    start[:stragglers] = start.min() - 20.0
+    out = step_conditional(engine.ParticleState(start, 0), law, make_rng(5))
+    idx = np.linspace(0, start.size - 1, 200).astype(int)
+    x = np.sort(out.positions)[idx]
+    cdf = np.exp(np.array([law.log_cdf(xi - start).sum() for xi in x]))
+    gap = np.maximum(np.abs(cdf - idx / start.size),
+                     np.abs(cdf - (idx + 1) / start.size)).max()
+    assert gap < 0.01  # sampling noise ~0.004, grid_step error < 1e-3
+
+
 def test_step_conditional_rejects_discrete():
     with pytest.raises(TypeError):
         step_conditional(initial_state(3), BernoulliLaw(0.5), make_rng(0))
@@ -242,6 +261,17 @@ def test_estimate_speed_validation():
     with pytest.raises(ValueError):
         engine.estimate_speed(GumbelLaw(), 2, t_run=128, n_batches=256,
                               rng=make_rng(0))
+
+
+def test_batch_means_uses_whole_batches():
+    # ten steps in three batches of three: the tenth step is left out
+    path = 5.0 + np.concatenate(([0.0], np.cumsum(np.arange(10.0))))
+    est = engine.batch_means(path, 3)
+    assert est.value == 4.0  # mean of the increments 0..8
+    assert est.n_blocks == 3 and est.method == "batch_means"
+    # batch means 1, 4, 7
+    assert est.std_err == pytest.approx(3.0 / math.sqrt(3.0), rel=1e-14)
+    assert est.sigma2 == pytest.approx(3 * 9.0, rel=1e-14)
 
 
 def test_renewal_speed_validation():

@@ -11,7 +11,6 @@ from frontlab.noise import (
     LatticeLaw,
     SandwichedGumbelLaw,
     check_sandwich,
-    epsilon_of,
     from_json,
     shift_bounds_for_delta,
     to_json,
@@ -83,7 +82,7 @@ def test_gumbel_max_stability(rng):
 
 def test_gumbel_epsilon_is_zero():
     law = GumbelLaw()  # the comparison index vanishes identically
-    np.testing.assert_allclose(epsilon_of(law, np.linspace(-10, 20, 50)),
+    np.testing.assert_allclose(law.epsilon(np.linspace(-10, 20, 50)),
                                0.0, atol=1e-12)
 
 
@@ -117,7 +116,7 @@ def test_bernoulli_log_cdf_steps():
 
 
 def test_bernoulli_epsilon_diverges_below_support():
-    assert epsilon_of(BernoulliLaw(0.5), -1.0) == -math.inf
+    assert BernoulliLaw(0.5).epsilon(-1.0) == -math.inf
 
 
 def test_bernoulli_validation():

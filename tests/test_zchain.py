@@ -145,6 +145,34 @@ def test_stationary_size_cap():
         bernoulli_stationary(0, 0.5)
 
 
+@pytest.mark.parametrize("n,q", [(8, 0.5), (16, 0.5), (30, 0.5), (8, 0.3),
+                                 (16, 0.7)])
+def test_float_stationary_is_relatively_accurate(n, q):
+    # GTH never subtracts, so even nu(0) ~ q^{N^2} 2^N (1e-262 at N = 30)
+    # keeps full relative precision. The reference is the Fraction solve at
+    # the decimal q; the binary rounding of q moves nu by < N^2 ulp.
+    got = bernoulli_stationary(n, q)
+    ref = bernoulli_stationary(n, Fraction(str(q)), exact=True)
+    rel = [abs(float((Fraction(g) - r) / r)) for g, r in zip(got, ref)]
+    assert max(rel) <= 1e-12
+
+
+def test_float_stationary_survives_underflow():
+    # nu(0) ~ 2^-4032 underflows; the back-substitution rescales as it goes
+    nu = bernoulli_stationary(64, 0.5)
+    assert np.all(np.isfinite(nu)) and np.all(nu >= 0.0)
+    assert nu.sum() == pytest.approx(1.0, abs=1e-12)
+    assert nu[0] == 0.0
+
+
+def test_exact_stationary_is_an_exact_fixed_point():
+    nu = bernoulli_stationary(8, "3/5", exact=True)
+    assert all(isinstance(x, Fraction) for x in nu)
+    p = bernoulli_matrix(8, "3/5", exact=True)
+    assert list(np.array(nu, dtype=object) @ p) == nu
+    assert sum(nu) == 1
+
+
 def test_kac_residual_grid():
     for n in (2, 3, 4, 5):
         for q in (0.3, 0.5, 0.7):
@@ -311,6 +339,15 @@ def test_two_point_speed_equals_bernoulli_speed(n, q):
     # different systems, so agreement is to solver precision only
     got = lattice_speed(two_point(q), n, window=2).value
     assert got == pytest.approx(bernoulli_speed(n, q) - 1.0, abs=1e-15)
+
+
+@pytest.mark.parametrize("n", [6, 8])
+def test_two_point_ladder_is_the_bernoulli_gap(n):
+    # P(the leader stalls) is nu(0) of the leader-count chain, ~4e-17 at
+    # N = 8; the dive probabilities carry it without cancellation
+    rep = lattice_speed(two_point(0.5), n, window=2)
+    nu0 = bernoulli_stationary(n, Fraction(1, 2), exact=True)[0]
+    assert rep.ladder.sum() == pytest.approx(float(nu0), rel=1e-12, abs=0)
 
 
 def test_lattice_speed_single_particle():
