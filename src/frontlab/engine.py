@@ -1,11 +1,17 @@
 """Max-plus particle dynamics and front-speed estimation.
 
 The system keeps N particles on the line; one step replaces every position by
-X_i' = max_j (X_j + xi_{ij}) with an i.i.d. noise matrix xi. Front location is
-any shift-covariant monotone functional of the configuration. Two speed
-estimators are provided: plain batch means over a long run, and a regenerative
-(renewal-block) estimator based on steps whose noise matrix lets the current
-leader's column dominate every row.
+X_i' = max_j (X_j + xi_{ij}) with an i.i.d. noise matrix xi, the max-plus
+product X(t) = A_t (x) X(t-1). Front location is any shift-covariant monotone
+functional of the configuration. Two speed estimators are provided: plain
+batch means over a long run, and a regenerative (renewal-block) estimator
+based on steps whose noise matrix lets the current leader's column dominate
+every row.
+
+Runs draw their noise in blocks. Max-plus products are associative, so at
+small N a block of full steps runs as a chunked two-level scan (chunk
+products vectorized over the chunks, one sequential step per chunk, then the
+chunk rows filled in together) instead of one Python-level step per row.
 """
 from __future__ import annotations
 
@@ -147,13 +153,21 @@ def step(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
                          prev_front=front(state.positions))
 
 
-def is_renewal(noise: np.ndarray, leader: int = 0) -> bool:
+def is_renewal(noise: np.ndarray, leader: int | np.ndarray = 0
+               ) -> bool | np.ndarray:
     """True when the leader's column attains the max of every row.
 
     Ties count as attainment, so discrete noise renews at least as often as
-    continuous noise (probability exactly N^-N there).
+    continuous noise (probability exactly N^-N there). An (N, N) matrix gives
+    a ``bool``; stacked (b, N, N) noise with (b,) leaders gives a bool array
+    with one entry per matrix.
     """
-    return bool(np.all(noise[:, leader] >= noise.max(axis=1)))
+    stacked = np.ndim(noise) == 3
+    if not stacked:
+        noise = noise[None]
+    lead = noise[np.arange(noise.shape[0]), :, leader]
+    hit = np.all(lead >= noise.max(axis=2), axis=1)
+    return hit if stacked else bool(hit[0])
 
 
 def step_gumbel_exact(state: ParticleState, law: GumbelLaw,
@@ -238,18 +252,24 @@ def advance(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
     """Take ``steps`` steps, each with the one-step kernel that fits the law.
 
     Gumbel noise steps through :func:`step_gumbel_exact`, discrete laws
-    through the full :func:`step`, other continuous laws through
+    through the full step on block-drawn noise (bit for bit the per-step
+    :func:`step` ladder), other continuous laws through
     :func:`step_conditional`. ``front`` (default lse at rate 1) sets
     prev_front for the latter two; the Gumbel step records the log-sum-exp
     front at the noise rate.
     """
     if front is None:
         front = lse_front(1.0)
+    if isinstance(law, (BernoulliLaw, LatticeLaw)) and steps > 0:
+        prev = pos = state.positions
+        for block in _position_blocks(law, pos.size, steps, rng, pos):
+            prev = block[-2] if block.shape[0] > 1 else pos
+            pos = block[-1]
+        return ParticleState(positions=pos.copy(), t=state.t + steps,
+                             prev_front=front(prev))
     for _ in range(steps):
         if isinstance(law, GumbelLaw):
             state = step_gumbel_exact(state, law, rng)
-        elif isinstance(law, (BernoulliLaw, LatticeLaw)):
-            state = step(state, law, rng, front=front)
         else:
             state = step_conditional(state, law, rng, front=front)
     return state
@@ -291,15 +311,93 @@ def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
         n_blocks=n_batches, method="batch_means")
 
 
-def _noise_blocks(law: NoiseLaw, shape: tuple, steps: int,
+# One block of pre-drawn noise, with its scan temporaries, holds at most this
+# many floats. Above N = _SCAN_MAX_N the per-step loop beats the chunked scan:
+# on a 2-core x86 box with numpy 2.4.6 the scan took 4 us a step at N = 12
+# against 5-6 us for the loop, and they were even at N = 14.
+_BLOCK_ELEMENTS = 4_000_000
+_SCAN_MAX_N = 12
+
+
+def _chunk_length(n: int, b: int) -> int:
+    """Chunk length L of the scan over b steps: ~sqrt(b/2), 1 above N = 12."""
+    return max(1, math.isqrt(b // 2)) if n <= _SCAN_MAX_N else 1
+
+
+def _full_step_elements(n: int, b: int) -> int:
+    """Floats a block of b full steps holds at once.
+
+    The (b, N, N) noise, and for L > 1 its chunk-major copy and the
+    (N, N, N, c) temporary of the chunk products, c = b // L.
+    """
+    chunk = _chunk_length(n, b)
+    if chunk == 1:
+        return b * n * n
+    return 2 * b * n * n + n ** 3 * (b // chunk)
+
+
+def _full_block(n: int, steps: int) -> int:
+    """Steps per block of full steps: up to ``steps``, within the bound."""
+    b = max(1, min(steps, _BLOCK_ELEMENTS // (n * n)))
+    used = _full_step_elements(n, b)
+    while b > 1 and used > _BLOCK_ELEMENTS:
+        # used / b falls as b grows, so scaling b by bound / used leaves it
+        # at or above the size that fits: the loop closes in from above
+        b = max(1, min(b - 1, b * _BLOCK_ELEMENTS // used))
+        used = _full_step_elements(n, b)
+    return b
+
+
+def _noise_blocks(law: NoiseLaw, shape: tuple, steps: int, block: int,
                   rng: np.random.Generator):
-    """Yield pre-drawn (b, *shape) noise blocks covering ``steps`` steps."""
-    block = max(1, min(steps, 4_000_000 // math.prod(shape) or 1))
+    """Yield pre-drawn (b, *shape) noise blocks, b <= block, for ``steps``."""
     done = 0
     while done < steps:
         b = min(block, steps - done)
         yield law.sample(rng, (b, *shape))
         done += b
+
+
+def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
+    """(b, N) positions after each step of a pre-drawn (b, N, N) noise block.
+
+    Row t is A_t (x) X(t-1), as :func:`step_with_noise` gives it. Max-plus
+    products are associative, so the block runs as a two-level scan with
+    chunk length L = :func:`_chunk_length`: the L-step product of each of the
+    c = b // L chunks comes from L - 1 max-plus products vectorized over the
+    chunks, the chunk starts from c - 1 sequential :func:`step_with_noise`
+    calls, and L steps vectorized over the chunks fill in every row; the
+    b mod L steps after the last chunk take one call each. The chunk axis is
+    kept last, so every op runs over contiguous rows of length c. At L = 1
+    this is the per-step loop. Integer-valued noise gives the loop's
+    positions bit for bit, since its sums are exact; continuous noise
+    differs only by re-associated sums.
+    """
+    b, n, _ = noise.shape
+    chunk = _chunk_length(n, b)
+    out = np.empty((b, n))
+    done = 0
+    if chunk > 1:
+        c = b // chunk
+        done = c * chunk
+        # chunk-major copy: a[j, :, :, k] is the noise of step k * L + j
+        a = np.ascontiguousarray(
+            noise[:done].reshape(c, chunk, n, n).transpose(1, 2, 3, 0))
+        prod = a[0]
+        for j in range(1, chunk):
+            prod = (a[j][:, :, None, :] + prod[None]).max(axis=1)
+        x = np.empty((n, c))
+        x[:, 0] = positions
+        for k in range(c - 1):
+            x[:, k + 1] = step_with_noise(x[:, k], prod[:, :, k])
+        rows = out[:done].reshape(c, chunk, n)
+        for j in range(chunk):
+            x = (a[j] + x[None]).max(axis=1)
+            rows[:, j] = x.T
+        positions = x[:, -1]
+    for t in range(done, b):
+        out[t] = positions = step_with_noise(positions, noise[t])
+    return out
 
 
 def _position_blocks(law: NoiseLaw, n: int, steps: int,
@@ -310,21 +408,22 @@ def _position_blocks(law: NoiseLaw, n: int, steps: int,
     Phi(X(t-1)) + G_t with G_t fresh i.i.d. draws of the law and Phi the
     log-sum-exp at the noise rate, so Phi_t = Phi_{t-1} + Phi(G_t) and a
     whole block follows from one cumsum. Every other law takes the full
-    O(N^2) step, one row of the block at a time.
+    O(N^2) step through :func:`_full_steps`.
     """
     if isinstance(law, GumbelLaw):
         lse = lse_front(law.rate)
         phi = log_sum_exp(positions, law.rate)
-        for fresh in _noise_blocks(law, (n,), steps, rng):
+        block = max(1, min(steps, _BLOCK_ELEMENTS // n))
+        for fresh in _noise_blocks(law, (n,), steps, block, rng):
             phis = phi + np.cumsum(lse.rows(fresh))
             fresh += np.concatenate(([phi], phis[:-1]))[:, None]
             phi = phis[-1]
             yield fresh
         return
-    for noise in _noise_blocks(law, (n, n), steps, rng):
-        block = np.empty((noise.shape[0], n))
-        for t in range(noise.shape[0]):
-            block[t] = positions = step_with_noise(positions, noise[t])
+    for noise in _noise_blocks(law, (n, n), steps, _full_block(n, steps),
+                               rng):
+        block = _full_steps(positions, noise)
+        positions = block[-1]
         yield block
 
 
@@ -346,7 +445,8 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     """Batch-means speed estimate over a single long run.
 
     The run is exact in law: Gumbel noise takes the O(N) exact kernel,
-    every other law the full O(N^2) step. Burn-in defaults to
+    every other law the full O(N^2) step on block-drawn noise, as a chunked
+    max-plus scan at N <= 12 (:func:`_full_steps`). Burn-in defaults to
     :func:`default_burn_in`. The run is cut into ``n_batches`` equal batches
     of front increments; the reported sigma2 is the batch-means estimate of
     the per-step CLT variance and std_err is the usual batch-means standard
@@ -379,9 +479,13 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     A renewal is a step whose noise lets the current leader's column attain
     every row max; the segment before the first renewal is discarded and the
     (displacement, duration) block pairs give the ratio estimator with a
-    delta-method standard error. Aborts once ``step_budget`` steps pass
-    without collecting ``n_renewals`` blocks (the waiting time can be as bad
-    as N^N).
+    delta-method standard error. Noise is drawn in (b, N, N) blocks, each
+    sized to the expected wait of the renewals still needed (N^N steps
+    each, at least 64) and capped by the remaining budget and the block
+    bound; a block's positions come from the chunked full step, its
+    renewals are screened at once, and fronts are taken only at renewal
+    steps. Aborts once ``step_budget`` steps pass without collecting
+    ``n_renewals`` blocks (the waiting time can be as bad as N^N).
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -390,30 +494,29 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     state = initial_state(n, positions)
     pos = state.positions
 
-    disp, dur = [], []
-    mark_front = None
-    mark_step = 0
+    marks, mark_steps = [], []     # front and step count at each renewal
+    found = 0
     steps = 0
-    while len(disp) < n_renewals:
+    while found <= n_renewals:
         if steps >= step_budget:
             raise RuntimeError(
-                f"renewal budget exhausted: {len(disp)} blocks in {steps} "
-                f"steps (worst-case expected wait is N^N = {n ** n})")
-        noise = law.sample(rng, (n, n))
-        leader = int(np.argmax(pos))
-        renew = is_renewal(noise, leader)
-        pos = step_with_noise(pos, noise)
-        steps += 1
-        if renew:
-            f = front(pos)
-            if mark_front is not None:
-                disp.append(f - mark_front)
-                dur.append(steps - mark_step)
-            mark_front = f
-            mark_step = steps
+                f"renewal budget exhausted: {max(found - 1, 0)} blocks in "
+                f"{steps} steps (worst-case expected wait is N^N = {n ** n})")
+        wait = max(64, (n_renewals + 1 - found) * n ** n)
+        b = min(step_budget - steps, _full_block(n, wait))
+        noise = law.sample(rng, (b, n, n))
+        block = _full_steps(pos, noise)
+        leaders = np.vstack((pos, block[:-1])).argmax(axis=1)
+        hits = np.flatnonzero(is_renewal(noise, leaders))
+        marks.append(front.rows(block[hits]))
+        mark_steps.append(steps + 1 + hits)
+        found += hits.size
+        steps += b
+        pos = block[-1]
 
-    d = np.array(disp[:n_renewals])
-    ell = np.array(dur[:n_renewals], dtype=float)
+    f = np.concatenate(marks)[:n_renewals + 1]
+    d = np.diff(f)
+    ell = np.diff(np.concatenate(mark_steps)[:n_renewals + 1]).astype(float)
     v_hat = d.sum() / ell.sum()
     resid = d - v_hat * ell
     se = float(np.std(resid, ddof=1) / (ell.mean() * math.sqrt(len(d))))
@@ -429,7 +532,8 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
     """Dynamics for t steps; rows (t, phi, max, min, gap) incl. t=0.
 
     Exact in law: Gumbel noise runs the O(N) exact kernel, every other law
-    the full O(N^2) step.
+    the full O(N^2) step on block-drawn noise, as a chunked max-plus scan at
+    N <= 12 (:func:`_full_steps`).
     """
     if rng is None:
         rng = np.random.default_rng()

@@ -161,6 +161,22 @@ def test_is_renewal_hand_cases():
     assert is_renewal(np.zeros((3, 3)), leader=2)
 
 
+@pytest.mark.parametrize("law", [GumbelLaw(), BernoulliLaw(0.5)])
+def test_is_renewal_stacked_equals_the_scalar_calls(law):
+    # Bernoulli noise ties often, and ties count as attainment
+    rng = make_rng(11)
+    for n in (1, 2, 3, 5):
+        noise = law.sample(rng, (400, n, n))
+        leaders = rng.integers(0, n, 400)
+        got = is_renewal(noise, leaders)
+        want = [is_renewal(m, int(k)) for m, k in zip(noise, leaders)]
+        assert got.dtype == bool and got.shape == (400,)
+        np.testing.assert_array_equal(got, want)
+        if n in (2, 3):
+            assert 0 < got.sum() < 400  # both outcomes are exercised
+    assert type(is_renewal(np.zeros((2, 2)), 1)) is bool
+
+
 def test_renewal_probability_continuous(rng):
     # each row's max is in the leader column w.p. 1/N, rows independent
     n, m = 2, 20_000
@@ -287,6 +303,58 @@ def test_renewal_speed_runs(rng):
     assert est.method == "regenerative"
     assert est.n_blocks == 50
     assert est.std_err > 0.0
+
+
+def per_step_renewal(law, n, front, n_renewals, rng, step_budget=10**7):
+    # reference: the per-step regenerative estimator, one (N, N) draw, one
+    # is_renewal and one step per step; returns the estimate and the step
+    # count at the last renewal used
+    pos = np.zeros(n)
+    disp, dur = [], []
+    mark_front, mark_step, steps = None, 0, 0
+    while len(disp) < n_renewals:
+        if steps >= step_budget:
+            raise RuntimeError("budget")
+        noise = law.sample(rng, (n, n))
+        renew = is_renewal(noise, int(np.argmax(pos)))
+        pos = step_with_noise(pos, noise)
+        steps += 1
+        if renew:
+            f = front(pos)
+            if mark_front is not None:
+                disp.append(f - mark_front)
+                dur.append(steps - mark_step)
+            mark_front, mark_step = f, steps
+    d, ell = np.array(disp), np.array(dur, dtype=float)
+    v = d.sum() / ell.sum()
+    resid = d - v * ell
+    return (v, np.std(resid, ddof=1) / (ell.mean() * math.sqrt(len(d))),
+            np.var(resid, ddof=1) / ell.mean()), steps
+
+
+@pytest.mark.parametrize("law, n, front", [
+    (GumbelLaw(), 2, MAX_FRONT), (GumbelLaw(), 2, lse_front(1.0)),
+    (GumbelLaw(), 3, MAX_FRONT), (GumbelLaw(), 3, lse_front(1.0)),
+    (BernoulliLaw(0.5), 2, MAX_FRONT)])
+def test_renewal_speed_is_the_per_step_estimator(law, n, front):
+    # block draws give the same noise stream, so the same renewals; only
+    # re-associated sums and vectorized lse fronts may move the last ulps
+    est = engine.renewal_speed(law, n, front=front, n_renewals=300,
+                               rng=make_rng(51))
+    want, last = per_step_renewal(law, n, front, 300, make_rng(51))
+    assert est.n_blocks == 300 and est.method == "regenerative"
+    np.testing.assert_allclose((est.value, est.std_err, est.sigma2), want,
+                               rtol=1e-12, atol=0)
+    # the budget is counted in steps: enough at the last renewal used,
+    # one step short is not
+    at = engine.renewal_speed(law, n, front=front, n_renewals=300,
+                              rng=make_rng(51), step_budget=last)
+    assert at.n_blocks == 300
+    np.testing.assert_allclose((at.value, at.std_err, at.sigma2), want,
+                               rtol=1e-12, atol=0)
+    with pytest.raises(RuntimeError, match="budget exhausted"):
+        engine.renewal_speed(law, n, front=front, n_renewals=300,
+                             rng=make_rng(51), step_budget=last - 1)
 
 
 def test_default_burn_in():
@@ -442,6 +510,85 @@ def test_advance_is_the_per_step_ladder():
                 want = step(want, law, rng, front=front)
         np.testing.assert_array_equal(got.positions, want.positions)
         assert (got.t, got.prev_front) == (want.t, want.prev_front)
+
+
+def test_advance_discrete_runs_the_scan_bit_for_bit():
+    # at small N the discrete branch runs the chunked scan; still the ladder
+    front = lse_front(1.0)
+    start = initial_state(3, [0.0, -0.5, -2.0])
+    for law in (BernoulliLaw(0.5), THREE_ATOM):
+        for steps in (0, 1, 2, 500):
+            got = engine.advance(start, law, make_rng(42), steps, front=front)
+            rng, want = make_rng(42), start
+            for _ in range(steps):
+                want = step(want, law, rng, front=front)
+            np.testing.assert_array_equal(got.positions, want.positions)
+            assert got.t == want.t
+            assert (got.prev_front == want.prev_front
+                    or math.isnan(got.prev_front) and steps == 0)
+
+
+# ---------------------------------------------------------------------------
+# the chunked full step
+
+
+def per_step_loop(positions, noise):
+    out = np.empty((noise.shape[0], positions.size))
+    for t in range(noise.shape[0]):
+        out[t] = positions = step_with_noise(positions, noise[t])
+    return out
+
+
+BLOCK_LENGTHS = (1, 2, 9, 997, 1000, 800)  # 997 prime; L = 22, 22, 20
+
+
+@pytest.mark.parametrize("law, n", [(BernoulliLaw(0.5), n)
+                                    for n in range(1, 7)]
+                         + [(BernoulliLaw(0.2), 4), (THREE_ATOM, 3),
+                            (THREE_ATOM, 5)])
+def test_full_steps_is_the_per_step_loop_for_integer_noise(law, n):
+    start = np.array([0.0, -0.5, -2.0, 1.0, 3.0, -1.5])[:n]
+    for b in BLOCK_LENGTHS:
+        noise = law.sample(make_rng(b), (b, n, n))
+        assert (engine._chunk_length(n, b) > 1) == (b >= 8)
+        np.testing.assert_array_equal(engine._full_steps(start, noise),
+                                      per_step_loop(start, noise))
+
+
+@pytest.mark.parametrize("law", [GumbelLaw(loc=0.3, rate=1.5),
+                                 SandwichedGumbelLaw(-0.3, 0.3)])
+@pytest.mark.parametrize("n", [2, 5, 12])
+def test_full_steps_continuous_noise_moves_only_by_round_off(law, n):
+    start = make_rng(60).normal(size=n) * 3.0
+    for b in BLOCK_LENGTHS:
+        noise = law.sample(make_rng(b), (b, n, n))
+        np.testing.assert_allclose(engine._full_steps(start, noise),
+                                   per_step_loop(start, noise),
+                                   rtol=1e-13, atol=0)
+
+
+def test_full_steps_above_the_crossover_is_the_loop():
+    start = make_rng(61).normal(size=64)
+    noise = GumbelLaw().sample(make_rng(62), (300, 64, 64))
+    assert engine._chunk_length(64, 300) == 1
+    np.testing.assert_array_equal(engine._full_steps(start, noise),
+                                  per_step_loop(start, noise))
+
+
+@pytest.mark.parametrize("n", range(1, 17))
+def test_full_block_is_sized_within_the_bound(n):
+    bound = engine._BLOCK_ELEMENTS
+    for steps in (1, 10_007, 1_000_003, bound):
+        b = engine._full_block(n, steps)
+        assert 1 <= b <= steps
+        used = engine._full_step_elements(n, b)
+        assert used <= bound
+        # the scan's chunk-major copy and product temporary count too
+        chunk = engine._chunk_length(n, b)
+        if chunk > 1:
+            assert used == 2 * b * n * n + n ** 3 * (b // chunk)
+        # and the block is not cut much below the bound
+        assert b == steps or used > 0.99 * bound
 
 
 def test_step_conditional_window_is_seed_independent(monkeypatch):
