@@ -512,7 +512,7 @@ def main(argv=None) -> int:
     except (ValueError, TypeError) as e:
         print(f"frontlab: {e}", file=sys.stderr)
         return EXIT_VALIDATION
-    except (RuntimeError, ArithmeticError, np.linalg.LinAlgError) as e:
+    except (RuntimeError, ArithmeticError) as e:
         print(f"frontlab: numerical failure: {e}", file=sys.stderr)
         return EXIT_NUMERICAL
     try:

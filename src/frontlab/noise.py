@@ -203,10 +203,13 @@ class SandwichedGumbelLaw(NoiseLaw):
         return self.shift_law == "point" or (self.hi - self.lo) < 1e-8
 
     def sample(self, rng, size=None):
-        g = rng.gumbel(0.0, 1.0, size)
         if self._is_point():
-            return g + 0.5 * (self.lo + self.hi)
-        return g + rng.uniform(self.lo, self.hi, size)
+            return rng.gumbel(0.0, 1.0, size) + 0.5 * (self.lo + self.hi)
+        # one uniform pair per element: a block draws the same as its rows;
+        # e = -log(1 - u) is 0 only at u = 0, read as its cell's middle
+        u = rng.random(2 if size is None else (*np.atleast_1d(size), 2))
+        e = np.maximum(-np.log1p(-u[..., 0]), 2.0 ** -54)
+        return self.lo + (self.hi - self.lo) * u[..., 1] - np.log(e)
 
     def log_cdf(self, x):
         x = np.asarray(x, dtype=float)

@@ -16,14 +16,11 @@ probability s_r = prod_w F(r - d_w)^{c_w} - prod_w F(r - 1 - d_w)^{c_w}
 classes, and the state recenters on the realized maximum. Speeds come from
 the stationary mean of the per-step leader displacement.
 
-Stationary laws come from one Grassmann-Taksar-Heyman elimination, which
-never subtracts: float stationary laws, and the gaps nu(0) and dive ladders
-read off them, are relatively accurate down to underflow (nu(0) ~ q^{N^2} 2^N
-reads 0 below ~1e-308). ``exact`` only picks the arithmetic: the same code
-runs on Fractions (exact with respect to the binary float inputs), with
-Gauss-Jordan in place of LAPACK for the first-step systems of the return-time
-and hitting analyses. Those systems hold I - P, so their float results lose
-accuracy as q^{N^2} shrinks; exact mode does not.
+Stationary laws, return times and hitting analyses all come from one
+Grassmann-Taksar-Heyman elimination, which never subtracts: float results are
+relatively accurate to the ends of the float range (nu(0) ~ q^{N^2} 2^N reads
+0 below ~1e-308, E_0[T_0] reads inf). ``exact`` only picks the arithmetic:
+the same code runs on Fractions (exact with respect to the binary inputs).
 """
 from __future__ import annotations
 
@@ -119,47 +116,29 @@ def bernoulli_matrix(n: int, q, exact: bool = False) -> np.ndarray:
     return np.array(rows, dtype=object if exact else float)
 
 
-def _fraction_solve(a, b):
-    """Gauss-Jordan over Fractions; a is n x n, b length n."""
-    n = len(b)
-    aug = [list(row) + [b[i]] for i, row in enumerate(a)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        if piv is None:
-            raise ZeroDivisionError("singular rational system")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = aug[col][col]
-        aug[col] = [x / inv for x in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col] != 0:
-                f = aug[r][col]
-                aug[r] = [x - f * y for x, y in zip(aug[r], aug[col])]
-    return np.array([aug[i][n] for i in range(n)], dtype=object)
+def _gth(a: np.ndarray, deficit: np.ndarray) -> None:
+    """Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985), in place.
 
-
-def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """LAPACK for float systems, Gauss-Jordan for object (Fraction) ones."""
-    if a.dtype == object:
-        return _fraction_solve(a, b)
-    return np.linalg.solve(a, b)
+    Censors states n-1, ..., 0. Pivot k is 1 - a_kk formed as a sum, the
+    mass ``deficit[k]`` leaving the system plus ``a[k, :k]``, so no step
+    subtracts; it goes to ``a[k, k]`` and divides ``a[:k, k]``. A zero pivot
+    above state 0 raises ZeroDivisionError.
+    """
+    for k in range(a.shape[0] - 1, -1, -1):
+        a[k, k] = deficit[k] + a[k, :k].sum()
+        if k and a[k, k] == 0:
+            raise ZeroDivisionError(f"zero GTH pivot at state {k}")
+        a[:k, k] /= a[k, k]
+        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+        deficit[:k] += a[:k, k] * deficit[k]
 
 
 def _stationary(p: np.ndarray) -> np.ndarray:
-    """Stationary law of an irreducible chain by GTH elimination.
-
-    Grassmann-Taksar-Heyman (Oper. Res. 33(5), 1985): censor the states
-    from the last down to the first, then rebuild the law from state 0.
-    Only sums, products and quotients of nonnegative numbers occur, so
-    float results are relatively accurate entry by entry (no cancellation)
-    and object arrays of Fractions come out exact. The diagonal of ``p``
-    is never read. The back-substitution renormalizes as it goes, so a
-    state far less likely than state 0 cannot overflow it.
-    """
+    """Stationary law of an irreducible chain by GTH elimination, rebuilt
+    from state 0 and renormalized as it goes, so that it cannot overflow."""
     a = p.copy()
     n = a.shape[0]
-    for k in range(n - 1, 0, -1):
-        a[:k, k] /= a[k, :k].sum()
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+    _gth(a, np.zeros(n, dtype=a.dtype))
     x = np.zeros(n, dtype=a.dtype)
     x[0] = 1
     for k in range(1, n):
@@ -168,39 +147,62 @@ def _stationary(p: np.ndarray) -> np.ndarray:
     return x
 
 
+def _first_step(p: np.ndarray, keep, b) -> np.ndarray:
+    """Solve h = b + P[keep, keep] h, b >= 0, states outside ``keep``
+    absorbing; a first kept state never absorbed reads +inf in float."""
+    a = p[np.ix_(keep, keep)]
+    _gth(a, np.delete(p[keep], keep, axis=1).sum(axis=1))
+    h = np.array(b, dtype=p.dtype)
+    for k in range(len(keep) - 1, 0, -1):
+        h[:k] += np.multiply.outer(a[:k, k], h[k])
+    with np.errstate(divide="ignore", over="ignore"):
+        for k in range(len(keep)):
+            nz = np.flatnonzero(a[k, :k])  # inf times 0 counts as 0
+            h[k] = (h[k] + a[k, nz] @ h[nz]) / a[k, k]
+    return h
+
+
 def bernoulli_stationary(n: int, q, exact: bool = False):
     """Stationary law of the leader-count chain (dense solve, n <= 64)."""
     if n < 1:
         raise ValueError("need n >= 1")
     if n > _MAX_DENSE_N:
         raise ValueError(f"dense solve capped at n = {_MAX_DENSE_N}")
-    nu = _stationary(bernoulli_matrix(n, q, exact))
+    # counts n, ..., 0: with the low counts eliminated first, pivots are ~1
+    nu = _stationary(bernoulli_matrix(n, q, exact)[::-1, ::-1])[::-1]
     return list(nu) if exact else nu
 
 
 def expected_return_time(n: int, q, exact: bool = False):
-    """Expected first return time to count 0, by first-step analysis."""
-    p = bernoulli_matrix(n, q, exact)
-    # h_j = E_j[T_0] for j in 1..n solves (I - P_interior) h = 1
-    h = _solve(np.eye(n, dtype=int) - p[1:, 1:], np.ones(n, dtype=int))
-    return 1 + p[0, 1:] @ h
+    """Expected first return time to count 0, +inf past the float range.
+
+    Row 0 of the chain is row n, so E_0[T_0] = E_n[T_0] (counts n, ..., 1).
+    """
+    return _first_step(bernoulli_matrix(n, q, exact), np.arange(n, 0, -1),
+                       np.ones(n, int))[0]
+
+
+def _kac_residual(nu0, ret):
+    """|nu(0) E_0[T_0] - 1|, or 0 where both routes put nu(0) below the
+    normal floats (E_0[T_0] may read inf), which floats cannot resolve."""
+    tiny = np.finfo(float).tiny
+    return 0.0 if nu0 < tiny and 1 / ret < tiny else abs(nu0 * ret - 1)
 
 
 def kac_residual(n: int, q, exact: bool = False):
-    """|1 - v - 1/E_0[T_0]|; identically zero in exact arithmetic."""
-    nu0 = bernoulli_stationary(n, q, exact)[0]
-    ret = expected_return_time(n, q, exact)
-    return abs(1 - (1 - nu0) - 1 / ret)
+    """|nu(0) E_0[T_0] - 1|; identically zero in exact arithmetic."""
+    return _kac_residual(bernoulli_stationary(n, q, exact)[0],
+                         expected_return_time(n, q, exact))
 
 
 def bernoulli_speed(n: int, q, exact: bool = False):
     """Exact front speed 1 - nu(0), cross-checked against the return time."""
     nu0 = bernoulli_stationary(n, q, exact)[0]
-    resid = abs(nu0 - 1 / expected_return_time(n, q, exact))
-    if resid > 1e-10:
+    resid = _kac_residual(nu0, expected_return_time(n, q, exact))
+    if not resid <= 1e-10:
         raise RuntimeError(
             f"stationary and return-time routes disagree by {resid:g} "
-            f"at n={n}, q={q}; use exact mode")
+            f"(relative) at n={n}, q={q}; use exact mode")
     return 1 - nu0
 
 
@@ -259,24 +261,18 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
         raise ValueError(f"hitting analysis supports 2 <= n <= {_MAX_HITTING_N}")
     qv = parse_q(q, exact)
     p = bernoulli_matrix(n, qv, exact)
-    inner = p[1:n, 1:n]
-    a = np.eye(n - 1, dtype=int) - inner
-    u = _solve(a, p[1:n, 0])
-    w = _solve(a, p[1:n, 0] + inner @ u)
-    ubar = 1 - u
-    wbar = _solve(a, p[1:n, n] + inner @ ubar)
-    row = p[n]
-    prob = row[0] + row[1:n] @ u
-    t_mass = row[0] + row[1:n] @ (u + w)
-    prob_top = row[n] + row[1:n] @ ubar
-    t_top_mass = row[n] + row[1:n] @ (ubar + wbar)
-    h = _solve(np.eye(n, dtype=int) - p[1:, 1:], np.ones(n, dtype=int))
-    mean_bottom = 1 + row[1:] @ h
-    prob1 = row[0]
-    prob2 = row[1:n] @ p[1:n, 0]
+    # races from the interior to 0 and to n, a column each: u holds their
+    # chances, w their time-weighted masses, w = u + P[int, int] w
+    interior = np.arange(n - 1, 0, -1)
+    u = _first_step(p, interior, p[np.ix_(interior, [0, n])])
+    w = _first_step(p, interior, u)
+    row, ends = p[n, interior], p[n, [0, n]]
+    races = ends + row @ u
+    prob, prob_top = races
+    mean_bottom_first, mean_top_first = (ends + row @ (u + w)) / races
+    mean_bottom = _first_step(p, np.arange(n, 0, -1), np.ones(n, int))[0]
+    prob2 = row @ p[interior, 0]
 
-    mean_bottom_first = t_mass / prob
-    mean_top_first = t_top_mass / prob_top
     identity = mean_bottom - ((1 - prob) / prob * mean_top_first
                               + mean_bottom_first)
     closed1 = qv ** (n * n)
@@ -289,7 +285,7 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
         mean_time_top_first=float(mean_top_first),
         mean_time_bottom=float(mean_bottom),
         identity_residual=float(abs(identity)),
-        prob_bottom_at_1=float(prob1),
+        prob_bottom_at_1=float(p[n, 0]),
         prob_bottom_at_2=float(prob2),
         closed_form_at_1=float(closed1),
         closed_form_at_2=float(closed2),

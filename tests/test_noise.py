@@ -239,6 +239,15 @@ def test_sandwiched_sample_matches_cdf(rng):
     assert gap < dkw_band(20_000)
 
 
+def test_sandwiched_block_draw_equals_row_draws():
+    # one uniform pair per element: block length cannot change the stream
+    law = SandwichedGumbelLaw(-1.0, 0.5)
+    block = law.sample(np.random.default_rng(11), (3, 2, 2))
+    rng = np.random.default_rng(11)
+    rows = np.stack([law.sample(rng, (2, 2)) for _ in range(3)])
+    np.testing.assert_array_equal(block, rows)
+
+
 def test_sandwiched_validation():
     with pytest.raises(ValueError):
         SandwichedGumbelLaw(1.0, 0.0)

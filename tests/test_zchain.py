@@ -145,24 +145,99 @@ def test_stationary_size_cap():
         bernoulli_stationary(0, 0.5)
 
 
+def _max_rel_error_vs_exact(route, n, q):
+    # The reference is the Fraction solve at the decimal q; the binary
+    # rounding of q moves the results by < N^2 ulp.
+    got = route(n, q)
+    ref = route(n, Fraction(str(q)), exact=True)
+    return max(abs(float((Fraction(g) - Fraction(r)) / Fraction(r)))
+               for g, r in zip(got, ref))
+
+
 @pytest.mark.parametrize("n,q", [(8, 0.5), (16, 0.5), (30, 0.5), (8, 0.3),
                                  (16, 0.7)])
 def test_float_stationary_is_relatively_accurate(n, q):
     # GTH never subtracts, so even nu(0) ~ q^{N^2} 2^N (1e-262 at N = 30)
-    # keeps full relative precision. The reference is the Fraction solve at
-    # the decimal q; the binary rounding of q moves nu by < N^2 ulp.
-    got = bernoulli_stationary(n, q)
-    ref = bernoulli_stationary(n, Fraction(str(q)), exact=True)
-    rel = [abs(float((Fraction(g) - r) / r)) for g, r in zip(got, ref)]
-    assert max(rel) <= 1e-12
+    # keeps full relative precision
+    assert _max_rel_error_vs_exact(bernoulli_stationary, n, q) <= 1e-12
+
+
+HITTING_VALUES = ("prob_bottom_first", "mean_time_bottom_first",
+                  "mean_time_top_first", "mean_time_bottom",
+                  "prob_bottom_at_1", "prob_bottom_at_2")
+
+
+def _return_time(n, q, exact=False):
+    return [expected_return_time(n, q, exact)]
+
+
+def _hitting_values(n, q, exact=False):
+    rep = hitting_analysis(n, q, exact)
+    return [getattr(rep, name) for name in HITTING_VALUES]
+
+
+@pytest.mark.parametrize("route,n,q", [
+    pytest.param(_return_time, 16, 0.5, id="return-16-0.5"),
+    pytest.param(_return_time, 30, 0.5, id="return-30-0.5"),
+    pytest.param(_hitting_values, 10, 0.6, id="hitting-10-0.6"),
+    pytest.param(_hitting_values, 16, 0.5, id="hitting-16-0.5"),
+])
+def test_float_first_step_is_relatively_accurate(route, n, q):
+    # the first-step systems run the same subtraction-free elimination;
+    # E_0[T_0] ~ 1/nu(0) is 1e72 at N = 16 and 1e262 at N = 30
+    assert _max_rel_error_vs_exact(route, n, q) <= 1e-12
 
 
 def test_float_stationary_survives_underflow():
-    # nu(0) ~ 2^-4032 underflows; the back-substitution rescales as it goes
-    nu = bernoulli_stationary(64, 0.5)
-    assert np.all(np.isfinite(nu)) and np.all(nu >= 0.0)
-    assert nu.sum() == pytest.approx(1.0, abs=1e-12)
-    assert nu[0] == 0.0
+    # nu(0) ~ q^{N^2} 2^N underflows (2^-4032 at N = 64, q = 1/2); the
+    # back-substitution rescales as it goes, and the return time reads inf
+    for n, q in ((64, 0.5), (40, 0.1), (64, 0.1), (64, 0.3)):
+        nu = bernoulli_stationary(n, q)
+        assert np.all(np.isfinite(nu)) and np.all(nu >= 0.0)
+        assert nu.sum() == pytest.approx(1.0, abs=1e-12)
+        assert nu[0] == 0.0
+        assert expected_return_time(n, q) == math.inf
+        assert kac_residual(n, q) == 0.0
+        assert bernoulli_speed(n, q) == 1.0
+    # at N = 33 nu(0) = 1.3e-318 is subnormal and E_0[T_0] reads inf: the
+    # Kac check cannot resolve that range, so it passes
+    assert expected_return_time(33, 0.5) == math.inf
+    assert kac_residual(33, 0.5) == 0.0
+    assert bernoulli_speed(33, 0.5) == 1.0
+
+
+def test_float_speed_passes_kac_check_across_the_range():
+    # from nu(0) ~ 1 down through subnormal and underflowed gaps
+    for n in range(8, 65, 8):
+        for q in (0.1, 0.3, 0.5, 0.7, 0.9):
+            v = bernoulli_speed(n, q)
+            assert 0.0 < v <= 1.0, (n, q)
+            assert kac_residual(n, q) <= 1e-10, (n, q)
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_zero_pivot_raises(exact):
+    # states 1 and 2 only swap with each other and state 3 only stays put,
+    # so state 1 (keeping states 0..2) or state 3 (the whole chain) has no
+    # way down, and its pivot is 0 in either arithmetic
+    rows = [[0, 0, 0, 1], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]]
+    p = np.array([[Fraction(x) if exact else float(x) for x in row]
+                  for row in rows], dtype=object if exact else float)
+    with pytest.raises(ZeroDivisionError):
+        zchain._first_step(p, np.arange(3), np.ones(3, int))
+    with pytest.raises(ZeroDivisionError):
+        zchain._stationary(p)
+
+
+@pytest.mark.parametrize("factor", [1 + 1e-6, math.nan])
+def test_kac_check_is_relative(monkeypatch, factor):
+    # nu(0) ~ 1e-72 at N = 16, so an absolute bound on nu(0) - 1/E_0[T_0]
+    # would pass any return time; a NaN residual must fail too
+    ret = expected_return_time(16, 0.5)
+    monkeypatch.setattr(zchain, "expected_return_time",
+                        lambda *args: ret * factor)
+    with pytest.raises(RuntimeError):
+        bernoulli_speed(16, 0.5)
 
 
 def test_exact_stationary_is_an_exact_fixed_point():
