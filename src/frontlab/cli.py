@@ -141,8 +141,8 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
     exact = mode == "precise"
     if dist == "bernoulli":
         qv = zchain.parse_q(Fraction(q) if exact else q, exact)
-        v_exact = zchain.bernoulli_speed(n, qv, exact=exact)
-        gap = zchain.bernoulli_stationary(n, qv, exact=exact)[0]
+        gap = zchain._bernoulli_gap(n, qv, exact=exact)
+        v_exact = 1 - gap
         sim = zchain.bernoulli_chain_sim(n, float(qv), steps, rng)
         q_out = float(qv)
     else:

@@ -16,6 +16,15 @@ probability s_r = prod_w F(r - d_w)^{c_w} - prod_w F(r - 1 - d_w)^{c_w}
 classes, and the state recenters on the realized maximum. Speeds come from
 the stationary mean of the per-step leader displacement.
 
+The reachable depth states are enumerated on arrays: the compositions of N
+into k landing classes are built once per k, every composition is recentered
+and grouped by target once per set of landing classes (the leader is a
+parent, so classes lie in [bottom, top] and few sets occur), and each state
+then only forms its multinomial masses in one vector pass. The rows are
+bit-identical to a per-composition scalar loop. The chain simulation draws
+the same multinomials as a ``lattice_step`` loop but keeps, per visited
+state, the landing-class law and the successor of each realized draw.
+
 Stationary laws, return times and hitting analyses all come from one
 Grassmann-Taksar-Heyman elimination, which never subtracts: float results are
 relatively accurate to the ends of the float range (nu(0) ~ q^{N^2} 2^N reads
@@ -24,6 +33,7 @@ the same code runs on Fractions (exact with respect to the binary inputs).
 """
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections import deque
@@ -195,15 +205,20 @@ def kac_residual(n: int, q, exact: bool = False):
                          expected_return_time(n, q, exact))
 
 
-def bernoulli_speed(n: int, q, exact: bool = False):
-    """Exact front speed 1 - nu(0), cross-checked against the return time."""
+def _bernoulli_gap(n: int, q, exact: bool = False):
+    """nu(0), the speed gap 1 - v, cross-checked against the return time."""
     nu0 = bernoulli_stationary(n, q, exact)[0]
     resid = _kac_residual(nu0, expected_return_time(n, q, exact))
     if not resid <= 1e-10:
         raise RuntimeError(
             f"stationary and return-time routes disagree by {resid:g} "
             f"(relative) at n={n}, q={q}; use exact mode")
-    return 1 - nu0
+    return nu0
+
+
+def bernoulli_speed(n: int, q, exact: bool = False):
+    """Exact front speed 1 - nu(0), cross-checked against the return time."""
+    return 1 - _bernoulli_gap(n, q, exact)
 
 
 def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
@@ -256,6 +271,12 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
     q^{N^2} 2^N, but the full P gets there very slowly (its ratio still
     exceeds 5 at N = 6, q = 0.6, decaying only past N ~ 30); the two-step
     ratio is already within 50% by N = 4. Both ratios are reported.
+
+    Float mode raises ArithmeticError once P or the gap scale falls below
+    the normal floats (P reads 0 from N = 20 at q = 0.1), where the
+    conditional means, the identity and the ratios lose all precision.
+    Exact mode still resolves them there; only the reported P-sized
+    probabilities read 0 and E_N[T_0] reads inf.
     """
     if not 2 <= n <= _MAX_HITTING_N:
         raise ValueError(f"hitting analysis supports 2 <= n <= {_MAX_HITTING_N}")
@@ -269,6 +290,12 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
     row, ends = p[n, interior], p[n, [0, n]]
     races = ends + row @ u
     prob, prob_top = races
+    gap = qv ** (n * n) * 2 ** n
+    if not exact and not min(prob, gap) >= np.finfo(float).tiny:
+        raise ArithmeticError(
+            f"P_N(T_0 < T_N) = {prob:g} or the gap scale q^(N^2) 2^N = "
+            f"{gap:g} is below the normal floats at n={n}, q={q}; use exact "
+            f"arithmetic (--mode precise)")
     mean_bottom_first, mean_top_first = (ends + row @ (u + w)) / races
     mean_bottom = _first_step(p, np.arange(n, 0, -1), np.ones(n, int))[0]
     prob2 = row @ p[interior, 0]
@@ -277,13 +304,15 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
                               + mean_bottom_first)
     closed1 = qv ** (n * n)
     closed2 = qv ** (n * n) * ((2 - qv ** n) ** n - 1 - (1 - qv ** n) ** n)
-    gap = qv ** (n * n) * 2 ** n
     return HittingReport(
         n=n, q=float(qv),
         prob_bottom_first=float(prob),
         mean_time_bottom_first=float(mean_bottom_first),
         mean_time_top_first=float(mean_top_first),
-        mean_time_bottom=float(mean_bottom),
+        # E_N[T_0] ~ 1/P leaves the float range where P leaves it at the
+        # other end; it reads inf, as in expected_return_time
+        mean_time_bottom=(math.inf if mean_bottom > np.finfo(float).max
+                          else float(mean_bottom)),
         identity_residual=float(abs(identity)),
         prob_bottom_at_1=float(p[n, 0]),
         prob_bottom_at_2=float(prob2),
@@ -326,15 +355,21 @@ def lattice_s(counts, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
     return offsets, s
 
 
-def _recenter(offsets, splits, window: int) -> tuple[tuple[int, ...], int]:
-    """Fold realized class counts into a depth state; returns (state, phi)."""
-    hit = np.nonzero(splits)[0]
-    phi = int(offsets[hit[-1]])
-    state = [0] * window
-    for i in hit:
-        state[max(int(offsets[i]) - phi, 1 - window) + window - 1] += \
-            int(splits[i])
-    return tuple(state), phi
+def _recenter(offsets, splits, window: int) -> tuple[np.ndarray, np.ndarray]:
+    """Fold rows of realized class counts into depth states.
+
+    ``splits`` is (m, k) over the classes ``offsets``; returns the (m, window)
+    states and the (m,) leader displacements phi, each row's last occupied
+    class.
+    """
+    m, k = splits.shape
+    lead = k - 1 - np.argmax(splits[:, ::-1] > 0, axis=1)
+    phi = offsets[lead]
+    slots = np.clip(offsets[None, :] - phi[:, None], 1 - window, 0) + window - 1
+    slots += window * np.arange(m)[:, None]
+    states = np.bincount(slots.ravel(), weights=splits.ravel(),
+                         minlength=m * window)  # integer sums, exact
+    return states.astype(np.int64).reshape(m, window), phi
 
 
 def lattice_step(counts, law: LatticeLaw,
@@ -343,8 +378,8 @@ def lattice_step(counts, law: LatticeLaw,
     counts = np.asarray(counts)
     offsets, s = lattice_s(counts, law)
     draw = rng.multinomial(int(counts.sum()), s / s.sum())
-    state, phi = _recenter(offsets, draw, counts.size)
-    return np.array(state), phi
+    states, phi = _recenter(offsets, draw[None, :], counts.size)
+    return states[0], int(phi[0])
 
 
 @dataclass(frozen=True)
@@ -358,48 +393,97 @@ class LatticeSpeedReport:
     truncated: bool
 
 
+def _compositions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """All k-tuples of nonnegative ints summing to n, in lexicographic order,
+    as an (m, k) array, with their multinomial coefficients as floats.
+
+    Stars and bars: the k - 1 bar positions among n + k - 1 slots run
+    through ``itertools.combinations`` in lexicographic order, which is the
+    lexicographic order of the part sizes between them.
+    """
+    m = math.comb(n + k - 1, k - 1)
+    edges = np.empty((m, k + 1), dtype=np.int64)
+    edges[:, 0] = -1
+    edges[:, 1:k] = np.fromiter(itertools.chain.from_iterable(
+        itertools.combinations(range(n + k - 1), k - 1)),
+        dtype=np.int64, count=m * (k - 1)).reshape(m, k - 1)
+    edges[:, k] = n + k - 1
+    comps = np.diff(edges, axis=1) - 1
+    # exact integer n! / prod c!, int64 while n! fits, Python ints beyond
+    fact = np.array([math.factorial(i) for i in range(n + 1)],
+                    dtype=np.int64 if math.factorial(n) < 2 ** 63 else object)
+    coeff = np.full(len(comps), fact[n], dtype=fact.dtype)
+    for j in range(k):
+        coeff //= fact[comps[:, j]]
+    return comps, coeff.astype(float)
+
+
 def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
     """BFS the reachable depth states from all-at-leader; sparse rows.
 
     Returns (states, rows, cums) where rows[i] maps successor index to
     probability and cums[i] is the cumulative landing-class law from state i
     (so cums[i][r]^n is the chance the step displacement stays <= class r).
+
+    A state's successors are the compositions of n over its occupied landing
+    classes, recentered. Landing classes lie in [law.bottom, law.top] (the
+    leader is a parent), so few class sets occur: each is recentered and
+    grouped by target once, in arrays, and later states with the same set
+    only recompute the masses. Masses multiply in the order of
+    ``_multinomial_pmf``, from scalar powers, and each target sums its masses
+    in composition order, so rows are bit-identical to a per-composition
+    loop. New states are numbered in order of first appearance, which keeps
+    the BFS order.
     """
-    start = (0,) * (window - 1) + (n,)
-    index = {start: 0}
-    states = [start]
+    start = np.zeros(window, dtype=np.int64)
+    start[-1] = n
+    index = {start.tobytes(): 0}
+    states = [tuple(start.tolist())]
     rows = []
     cums = []
     queue = deque([start])
+    # per class count k: the compositions of n into k parts, coefficients;
+    # per class set: those, the successor columns, and each composition's
+    # position among the successors
+    compositions, layouts = {}, {}
     while queue:
-        state = queue.popleft()
-        offsets, s = lattice_s(np.array(state), law)
+        offsets, s = lattice_s(queue.popleft(), law)
         cums.append(np.cumsum(s))
         support = np.nonzero(s)[0]
-        row: dict[int, float] = {}
-        for split in _compositions(n, len(support)):
-            target, _ = _recenter(offsets[support], np.array(split), window)
-            if target not in index:
-                if len(states) >= max_states:
-                    raise RuntimeError(
-                        f"windowed state space exceeds {max_states} states")
-                index[target] = len(states)
-                states.append(target)
-                queue.append(target)
-            j = index[target]
-            row[j] = row.get(j, 0.0) + _multinomial_pmf(split, s[support])
-        rows.append(row)
+        classes = offsets[support].tobytes()
+        if classes not in layouts:
+            k = len(support)
+            if k not in compositions:
+                compositions[k] = _compositions(n, k)
+            comps, coeff = compositions[k]
+            targets, _ = _recenter(offsets[support], comps, window)
+            keys = targets.view(f"V{8 * window}").ravel().tolist()  # row bytes
+            found = dict.fromkeys(keys)   # in order of first appearance
+            for key in found:
+                j = index.get(key)
+                if j is None:
+                    if len(states) >= max_states:
+                        raise RuntimeError(f"windowed state space exceeds "
+                                           f"{max_states} states")
+                    j = index[key] = len(states)
+                    target = np.frombuffer(key, dtype=np.int64)
+                    states.append(tuple(target.tolist()))
+                    queue.append(target)
+                found[key] = j
+            rank = {key: i for i, key in enumerate(found)}
+            position = np.fromiter(map(rank.__getitem__, keys), dtype=np.intp,
+                                   count=len(keys))
+            layouts[classes] = (comps, coeff, list(found.values()), position)
+        comps, coeff, cols, position = layouts[classes]
+        # p ** c by scalar pow: numpy's vectorized pow can differ by an ulp
+        powers = np.array([[p ** c for c in range(n + 1)] for p in s[support]])
+        mass = coeff.copy()
+        for j, column in enumerate(comps.T):
+            mass *= powers[j, column]
+        sums = np.zeros(len(cols))
+        np.add.at(sums, position, mass)
+        rows.append(dict(zip(cols, sums.tolist())))
     return states, rows, cums
-
-
-def _compositions(n: int, k: int):
-    """All k-tuples of nonnegative ints summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for head in range(n + 1):
-        for rest in _compositions(n - head, k - 1):
-            yield (head,) + rest
 
 
 def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
@@ -420,10 +504,11 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
     for attempt in range(widenings + 1):
         states, rows, cums = _lattice_chain(law, n, window, max_states)
         size = len(states)
+        cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
+        probs = np.fromiter(itertools.chain.from_iterable(
+            row.values() for row in rows), dtype=float, count=cols.size)
         p = np.zeros((size, size))
-        for i, row in enumerate(rows):
-            for j, prob in row.items():
-                p[i, j] = prob
+        p[np.repeat(np.arange(size), [len(row) for row in rows]), cols] = probs
         nu = _stationary(p)
 
         arr = np.array(states)
@@ -452,15 +537,32 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
 def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
                       rng: np.random.Generator, window: int = 16,
                       n_batches: int = 32) -> SpeedEstimate:
-    """Simulated depth-chain speed: batch means of leader displacements."""
+    """Simulated depth-chain speed: batch means of leader displacements.
+
+    Draws the same multinomials as a ``lattice_step`` loop, but keeps each
+    visited state's landing-class law, and each realized draw's successor
+    and displacement, for the rest of the run: the chain keeps revisiting a
+    few states.
+    """
     if steps < n_batches:
         raise ValueError("steps must cover the batches")
-    counts = np.zeros(window, dtype=int)
-    counts[-1] = n
+    state = np.zeros(window, dtype=np.int64)
+    state[-1] = n
+    state = state.tobytes()
+    laws = {}   # state -> (class offsets, class law, {draw: (state, phi)})
     moves = np.zeros(steps + 1)
     for t in range(steps):
-        counts, phi = lattice_step(counts, law, rng)
-        moves[t + 1] = phi
+        visit = laws.get(state)
+        if visit is None:
+            offsets, s = lattice_s(np.frombuffer(state, np.int64), law)
+            visit = laws[state] = (offsets, s / s.sum(), {})
+        offsets, probs, hops = visit
+        draw = rng.multinomial(n, probs)
+        hop = hops.get(draw.tobytes())
+        if hop is None:
+            targets, phi = _recenter(offsets, draw[None, :], window)
+            hop = hops[draw.tobytes()] = (targets[0].tobytes(), float(phi[0]))
+        state, moves[t + 1] = hop
     return batch_means(np.cumsum(moves), n_batches)
 
 

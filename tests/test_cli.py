@@ -336,6 +336,13 @@ def test_seed_env_invalid_is_a_usage_error(monkeypatch, capsys):
 # failure modes
 
 
+def test_float_hitting_underflow_exits_3(capsys):
+    code, _, err = run(["zchain", "--dist", "bernoulli", "--N", "20",
+                        "--q", "0.1", "--report", "hitting"], capsys)
+    assert code == 3
+    assert "--mode precise" in err
+
+
 def test_bad_spec_json_exits_2(capsys):
     code, _, err = run(["speed", "--spec", "{nope", "--N", "2",
                         "--horizon", "200"], capsys)

@@ -313,6 +313,23 @@ def test_hitting_identity_float():
         assert r.identity_residual / r.mean_time_bottom < 1e-10
 
 
+@pytest.mark.parametrize("n", [20, 32])
+def test_float_hitting_underflow_raises(n):
+    # P_N(T_0 < T_N) ~ 0.1^(N^2) 2^N reads 0 in float: the conditional
+    # means and ratios would be nan
+    with pytest.raises(ArithmeticError, match="precise"):
+        hitting_analysis(n, 0.1)
+
+
+def test_exact_hitting_past_the_float_range():
+    # where float mode raises, exact mode still resolves the ratios;
+    # E_N[T_0] ~ 1/P ~ 1e395 reads inf
+    rep = hitting_analysis(20, Fraction(1, 10), exact=True)
+    assert rep.mean_time_bottom == math.inf
+    assert rep.identity_residual == 0.0
+    assert 1.0 < rep.ratio_to_gap_asymptotic < 1.001
+
+
 def test_hitting_validation():
     with pytest.raises(ValueError):
         hitting_analysis(1, 0.5)
@@ -375,6 +392,106 @@ def test_lattice_s_against_particle_draws():
             continue
         freq = np.mean(draws == off)
         assert abs(freq - s[k]) < 4 * math.sqrt(s[k] * (1 - s[k]) / m)
+
+
+# ---------------------------------------------------------------------------
+# depth-count chain: the array enumeration against a per-composition loop
+
+
+FIVE_ATOM = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.25), (-2, 0.15),
+                                     (-3, 0.12), (-4, 0.08)))
+DEEP = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
+
+
+def _ref_compositions(n, k):
+    if k == 1:
+        yield (n,)
+        return
+    for head in range(n + 1):
+        for rest in _ref_compositions(n - head, k - 1):
+            yield (head,) + rest
+
+
+def _ref_recenter(offsets, splits, window):
+    hit = np.nonzero(splits)[0]
+    phi = int(offsets[hit[-1]])
+    state = [0] * window
+    for i in hit:
+        state[max(int(offsets[i]) - phi, 1 - window) + window - 1] += \
+            int(splits[i])
+    return tuple(state), phi
+
+
+def _ref_lattice_chain(law, n, window):
+    # one scalar multinomial pmf and one recentering per composition
+    start = (0,) * (window - 1) + (n,)
+    index = {start: 0}
+    states, rows, cums = [start], [], []
+    queue = [start]
+    while queue:
+        state = queue.pop(0)
+        offsets, s = lattice_s(np.array(state), law)
+        cums.append(np.cumsum(s))
+        support = np.nonzero(s)[0]
+        row = {}
+        for split in _ref_compositions(n, len(support)):
+            target, _ = _ref_recenter(offsets[support], np.array(split), window)
+            if target not in index:
+                index[target] = len(states)
+                states.append(target)
+                queue.append(target)
+            j = index[target]
+            row[j] = row.get(j, 0.0) + zchain._multinomial_pmf(
+                split, s[support])
+        rows.append(row)
+    return states, rows, cums
+
+
+@pytest.mark.parametrize("law,n,window", [
+    *[pytest.param(THREE_ATOM, n, 16, id=f"three-{n}") for n in range(1, 6)],
+    pytest.param(FIVE_ATOM, 6, 16, id="five-6"),
+    pytest.param(two_point(0.35), 4, 2, id="two-point-4"),
+    pytest.param(two_point(0.5), 25, 2, id="two-point-25"),  # 25! > 2^63
+    pytest.param(DEEP, 2, 4, id="deep-w4"),
+    pytest.param(DEEP, 2, 16, id="deep-w16"),
+])
+def test_lattice_chain_equals_per_composition_loop(law, n, window):
+    states, rows, cums = zchain._lattice_chain(law, n, window, 10 ** 6)
+    ref_states, ref_rows, ref_cums = _ref_lattice_chain(law, n, window)
+    assert states == ref_states
+    assert rows == ref_rows
+    assert [c.tolist() for c in cums] == [c.tolist() for c in ref_cums]
+
+
+def _ref_chain_sim(law, n, steps, rng, window):
+    counts = np.zeros(window, dtype=int)
+    counts[-1] = n
+    moves = np.zeros(steps + 1)
+    for t in range(steps):
+        offsets, s = lattice_s(counts, law)
+        draw = rng.multinomial(int(counts.sum()), s / s.sum())
+        state, moves[t + 1] = _ref_recenter(offsets, draw, window)
+        counts = np.array(state)
+    return engine.batch_means(np.cumsum(moves), 32)
+
+
+@pytest.mark.parametrize("law,n,window", [
+    pytest.param(THREE_ATOM, 2, 16, id="three-2"),
+    pytest.param(THREE_ATOM, 3, 16, id="three-3"),
+    pytest.param(FIVE_ATOM, 4, 3, id="five-4-lumped"),  # depths <= -2 lump
+])
+def test_lattice_chain_sim_equals_step_loop(law, n, window):
+    got = lattice_chain_sim(law, n, 4000, make_rng(61), window=window)
+    assert got == _ref_chain_sim(law, n, 4000, make_rng(61), window)
+
+
+def test_five_atom_n8_chain():
+    # the invariants the benchmark checks on every lattice_speed report
+    rep = lattice_speed(FIVE_ATOM, 8)
+    assert rep.n_states == 330
+    assert not rep.truncated and rep.boundary_mass <= 1e-12
+    assert np.all(rep.ladder <= rep.ladder_bounds + 1e-12)
+    assert FIVE_ATOM.bottom <= rep.value <= FIVE_ATOM.top
 
 
 def test_lattice_step_moves_leader(rng):
