@@ -5,7 +5,10 @@ Markov chain on {0, ..., N}: from count m the next count is Binomial(N,
 1 - q^m) (exponent N when m = 0, everyone having collapsed onto the old
 leader). Its stationary law gives the front speed exactly, and hitting-time
 decompositions between the full state N and the empty state 0 expose the
-doubly exponential finite-N speed correction q^{N^2} 2^N.
+doubly exponential finite-N speed correction q^{N^2} 2^N. The chain
+simulation is an inverse-CDF walk on the same float transition rows that the
+exact solves use: one uniform per step, bisected on the cumulative row of the
+current count.
 
 General bounded integer jumps are handled by the depth-count chain: the state
 counts particles at depths 0, -1, ..., -(W-1) behind the current leader
@@ -33,6 +36,7 @@ the same code runs on Fractions (exact with respect to the binary inputs).
 """
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import warnings
@@ -69,6 +73,7 @@ __all__ = [
 
 _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
+_SIM_BLOCK = 1 << 14   # uniforms per block draw of the chain simulation
 
 
 def parse_q(q, exact: bool = False):
@@ -145,16 +150,19 @@ def _gth(a: np.ndarray, deficit: np.ndarray) -> None:
 
 def _stationary(p: np.ndarray) -> np.ndarray:
     """Stationary law of an irreducible chain by GTH elimination, rebuilt
-    from state 0 and renormalized as it goes, so that it cannot overflow."""
+    from state 0. Floats renormalize as they go, so that they cannot
+    overflow; Fractions normalize once at the end (their law is unique)."""
     a = p.copy()
     n = a.shape[0]
     _gth(a, np.zeros(n, dtype=a.dtype))
     x = np.zeros(n, dtype=a.dtype)
     x[0] = 1
+    exact = a.dtype == object
     for k in range(1, n):
         x[k] = x[:k] @ a[:k, k]
-        x[:k + 1] /= x[:k + 1].sum()
-    return x
+        if not exact:
+            x[:k + 1] /= x[:k + 1].sum()
+    return x / x.sum() if exact else x
 
 
 def _first_step(p: np.ndarray, keep, b) -> np.ndarray:
@@ -172,24 +180,38 @@ def _first_step(p: np.ndarray, keep, b) -> np.ndarray:
     return h
 
 
-def bernoulli_stationary(n: int, q, exact: bool = False):
-    """Stationary law of the leader-count chain (dense solve, n <= 64)."""
+def _check_dense(n: int) -> None:
     if n < 1:
         raise ValueError("need n >= 1")
     if n > _MAX_DENSE_N:
         raise ValueError(f"dense solve capped at n = {_MAX_DENSE_N}")
+
+
+def _leader_stationary(p: np.ndarray) -> np.ndarray:
+    """Stationary law from the leader-count transition matrix ``p``."""
     # counts n, ..., 0: with the low counts eliminated first, pivots are ~1
-    nu = _stationary(bernoulli_matrix(n, q, exact)[::-1, ::-1])[::-1]
+    return _stationary(p[::-1, ::-1])[::-1]
+
+
+def _return_time(p: np.ndarray):
+    """E_0[T_0] from the leader-count transition matrix ``p``.
+
+    Row 0 of the chain is row n, so E_0[T_0] = E_n[T_0] (counts n, ..., 1).
+    """
+    n = p.shape[0] - 1
+    return _first_step(p, np.arange(n, 0, -1), np.ones(n, int))[0]
+
+
+def bernoulli_stationary(n: int, q, exact: bool = False):
+    """Stationary law of the leader-count chain (dense solve, n <= 64)."""
+    _check_dense(n)
+    nu = _leader_stationary(bernoulli_matrix(n, q, exact))
     return list(nu) if exact else nu
 
 
 def expected_return_time(n: int, q, exact: bool = False):
-    """Expected first return time to count 0, +inf past the float range.
-
-    Row 0 of the chain is row n, so E_0[T_0] = E_n[T_0] (counts n, ..., 1).
-    """
-    return _first_step(bernoulli_matrix(n, q, exact), np.arange(n, 0, -1),
-                       np.ones(n, int))[0]
+    """Expected first return time to count 0, +inf past the float range."""
+    return _return_time(bernoulli_matrix(n, q, exact))
 
 
 def _kac_residual(nu0, ret):
@@ -199,16 +221,23 @@ def _kac_residual(nu0, ret):
     return 0.0 if nu0 < tiny and 1 / ret < tiny else abs(nu0 * ret - 1)
 
 
+def _gap_routes(n: int, q, exact: bool):
+    """nu(0) and E_0[T_0]: one transition matrix, two independent
+    eliminations."""
+    _check_dense(n)
+    p = bernoulli_matrix(n, q, exact)
+    return _leader_stationary(p)[0], _return_time(p)
+
+
 def kac_residual(n: int, q, exact: bool = False):
     """|nu(0) E_0[T_0] - 1|; identically zero in exact arithmetic."""
-    return _kac_residual(bernoulli_stationary(n, q, exact)[0],
-                         expected_return_time(n, q, exact))
+    return _kac_residual(*_gap_routes(n, q, exact))
 
 
 def _bernoulli_gap(n: int, q, exact: bool = False):
     """nu(0), the speed gap 1 - v, cross-checked against the return time."""
-    nu0 = bernoulli_stationary(n, q, exact)[0]
-    resid = _kac_residual(nu0, expected_return_time(n, q, exact))
+    nu0, ret = _gap_routes(n, q, exact)
+    resid = _kac_residual(nu0, ret)
     if not resid <= 1e-10:
         raise RuntimeError(
             f"stationary and return-time routes disagree by {resid:g} "
@@ -221,18 +250,38 @@ def bernoulli_speed(n: int, q, exact: bool = False):
     return 1 - _bernoulli_gap(n, q, exact)
 
 
+def _bernoulli_counts(n: int, q, steps: int,
+                      rng: np.random.Generator) -> np.ndarray:
+    """Leader counts after each of ``steps`` chain steps from count n.
+
+    Inverse-CDF walk: step t draws one uniform u and moves to the first count
+    whose cumulative transition probability exceeds u, bisected on the rows
+    of ``bernoulli_matrix``. Uniforms come in blocks of ``_SIM_BLOCK``; block
+    draws concatenate, so the counts do not depend on the block length.
+    """
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    rows = cdf.tolist()
+    counts = np.empty(steps, dtype=np.min_scalar_type(n))
+    m = n
+    for start in range(0, steps, _SIM_BLOCK):
+        block = rng.random(min(_SIM_BLOCK, steps - start)).tolist()
+        counts[start:start + len(block)] = [
+            m := bisect.bisect_right(rows[m], u) for u in block]
+    return counts
+
+
 def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
                         n_batches: int = 32) -> SpeedEstimate:
-    """Simulated chain speed: fraction of steps whose new count is >= 1."""
+    """Simulated chain speed: fraction of steps whose new count is >= 1.
+
+    The chain runs as an inverse-CDF walk on the float transition rows that
+    ``bernoulli_speed`` solves, one uniform per step (``_bernoulli_counts``).
+    """
     if steps < n_batches:
         raise ValueError("steps must cover the batches")
-    q = parse_q(q, exact=False)
-    powers = np.array([1 - q ** (m if m >= 1 else n) for m in range(n + 1)])
-    m = n
     moved = np.zeros(steps + 1)
-    for t in range(steps):
-        m = rng.binomial(n, powers[m])
-        moved[t + 1] = 1.0 if m >= 1 else 0.0
+    moved[1:] = _bernoulli_counts(n, q, steps, rng) >= 1
     return batch_means(np.cumsum(moved), n_batches)
 
 
@@ -297,7 +346,7 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
             f"{gap:g} is below the normal floats at n={n}, q={q}; use exact "
             f"arithmetic (--mode precise)")
     mean_bottom_first, mean_top_first = (ends + row @ (u + w)) / races
-    mean_bottom = _first_step(p, np.arange(n, 0, -1), np.ones(n, int))[0]
+    mean_bottom = _return_time(p)
     prob2 = row @ p[interior, 0]
 
     identity = mean_bottom - ((1 - prob) / prob * mean_top_first

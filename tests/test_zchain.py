@@ -234,8 +234,7 @@ def test_kac_check_is_relative(monkeypatch, factor):
     # nu(0) ~ 1e-72 at N = 16, so an absolute bound on nu(0) - 1/E_0[T_0]
     # would pass any return time; a NaN residual must fail too
     ret = expected_return_time(16, 0.5)
-    monkeypatch.setattr(zchain, "expected_return_time",
-                        lambda *args: ret * factor)
+    monkeypatch.setattr(zchain, "_return_time", lambda p: ret * factor)
     with pytest.raises(RuntimeError):
         bernoulli_speed(16, 0.5)
 
@@ -273,6 +272,66 @@ def test_chain_sim_matches_exact(rng):
     assert abs(est.value - bernoulli_speed(3, 0.5)) < 3 * est.std_err
     with pytest.raises(ValueError):
         bernoulli_chain_sim(3, 0.5, 10, rng)
+
+
+def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
+    """Plain per-step inverse-CDF loop over the rows of bernoulli_matrix."""
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    m = n
+    moved = np.zeros(steps + 1)
+    for t in range(steps):
+        m = int(np.searchsorted(cdf[m], rng.random(), side="right"))
+        moved[t + 1] = 1.0 if m >= 1 else 0.0
+    return engine.batch_means(np.cumsum(moved), n_batches)
+
+
+@pytest.mark.parametrize("n,q", [(2, 0.5), (3, 0.3), (5, 0.7)])
+def test_chain_sim_equals_step_loop(n, q):
+    steps = 20_001   # not a multiple of the block length
+    assert steps % zchain._SIM_BLOCK
+    got = bernoulli_chain_sim(n, q, steps, make_rng(71))
+    assert got == _ref_bernoulli_sim(n, q, steps, make_rng(71))
+
+
+def test_chain_sim_block_length_does_not_matter(monkeypatch):
+    want = bernoulli_chain_sim(3, 0.3, 20_001, make_rng(73))
+    monkeypatch.setattr(zchain, "_SIM_BLOCK", 1000)
+    assert bernoulli_chain_sim(3, 0.3, 20_001, make_rng(73)) == want
+
+
+def test_chain_sim_transitions_follow_matrix_rows():
+    n, q = 3, 0.3
+    counts = zchain._bernoulli_counts(n, q, 200_000, make_rng(79))
+    path = np.concatenate([[n], counts])
+    seen = np.zeros((n + 1, n + 1))
+    np.add.at(seen, (path[:-1], path[1:]), 1)
+    p = bernoulli_matrix(n, q)
+    stat, dof = 0.0, 0
+    for m in range(n + 1):
+        total = seen[m].sum()
+        if total == 0:
+            continue
+        expected = total * p[m]
+        # cells expecting fewer than 5 visits are lumped into one
+        big = expected >= 5
+        obs = list(seen[m, big]) + [seen[m, ~big].sum()]
+        exp = list(expected[big]) + [expected[~big].sum()]
+        if exp[-1] == 0:
+            assert obs[-1] == 0
+            obs, exp = obs[:-1], exp[:-1]
+        if len(obs) > 1:
+            stat += sum((o - e) ** 2 / e for o, e in zip(obs, exp))
+            dof += len(obs) - 1
+    assert dof >= 4
+    assert stats.chi2.sf(stat, dof) >= 1e-6
+
+
+def test_chain_sim_large_n_stays_in_range():
+    counts = zchain._bernoulli_counts(64, 0.5, 20_000, make_rng(83))
+    assert counts.min() >= 0 and counts.max() <= 64
+    est = bernoulli_chain_sim(64, 0.5, 20_000, make_rng(83))
+    assert 0.0 <= est.value <= 1.0
 
 
 def test_chain_speed_matches_particle_simulation():
