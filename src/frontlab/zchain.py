@@ -73,7 +73,7 @@ __all__ = [
 
 _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
-_SIM_BLOCK = 1 << 14   # uniforms per block draw of the chain simulation
+_SIM_BLOCK = 1 << 12   # uniforms per block draw of the chain simulation
 
 
 def parse_q(q, exact: bool = False):
