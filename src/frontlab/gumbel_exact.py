@@ -18,6 +18,8 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.special import exp1
 
+from .noise import _exponential_from_uniform
+
 __all__ = [
     "upsilon_samples",
     "VSigmaEstimate",
@@ -50,43 +52,44 @@ def _check_n(n_particles: int) -> int:
     return n_particles
 
 
+# elements per block of _recip_sums: 2^16 float64s, 512 KiB, stay in cache
+# through the in-place passes
+_RECIP_BLOCK = 1 << 16
+
+
 def _recip_sums(n_particles: int, n_samples: int,
-                rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
+                rng: np.random.Generator) -> np.ndarray:
     """i.i.d. samples of sum_{i<=N} 1/E_i, E_i ~ Exp(1).
 
-    float32 draws halve the cost of the 1e10-draw runs; draws are floored
-    just above zero (a float32 exponential can round to exactly 0, which
-    would blow up the reciprocal). The floor does not make float32 unbiased:
-    float32 `standard_exponential` returns exactly 0 about 1.6e-7 of the
-    time, roughly 10x the true mass below the 2^-26 floor, and each such
-    draw adds 2^26 to its sum. At N = 10^4 that inflates sigma^2 by about
-    8% (0.3160 +- 0.0039 against an exact 0.2932); use float64 where the
-    variance matters. Sums accumulate in float64 either way.
+    Each E_i = max(-ln(1 - U_i), 2^-54) comes from one float64 uniform U_i
+    (the floor reads U_i = 0 as the middle of its cell). The uniforms fill
+    one reused buffer of whole rows, at least one row and about
+    ``_RECIP_BLOCK`` elements, which is transformed in place and summed row
+    by row in float64. Block draws concatenate, so the sums do not depend on
+    the block length.
     """
-    dtype = np.dtype(dtype)
-    floor = dtype.type(2.0 ** -26 if dtype == np.float32 else 2.0 ** -55)
+    rows = max(1, _RECIP_BLOCK // n_particles)
+    buf = np.empty((min(rows, n_samples), n_particles))
     out = np.empty(n_samples)
-    chunk = max(1, 20_000_000 // n_particles)
-    for i in range(0, n_samples, chunk):
-        m = min(chunk, n_samples - i)
-        x = rng.standard_exponential((m, n_particles), dtype=dtype)
-        np.maximum(x, floor, out=x)
-        np.reciprocal(x, out=x)
-        out[i:i + m] = x.sum(axis=1, dtype=np.float64)
+    for i in range(0, n_samples, rows):
+        x = buf[:min(rows, n_samples - i)]
+        rng.random(out=x)
+        np.reciprocal(_exponential_from_uniform(x), out=x)
+        x.sum(axis=1, out=out[i:i + x.shape[0]])
     return out
 
 
 def _log_recip_sums(n_particles: int, n_samples: int,
-                    rng: np.random.Generator, dtype=np.float32) -> np.ndarray:
-    return np.log(_recip_sums(n_particles, n_samples, rng, dtype))
+                    rng: np.random.Generator) -> np.ndarray:
+    return np.log(_recip_sums(n_particles, n_samples, rng))
 
 
 def upsilon_samples(n_particles: int, n_samples: int,
                     rng: np.random.Generator, loc: float = 0.0,
-                    rate: float = 1.0, dtype=np.float32) -> np.ndarray:
+                    rate: float = 1.0) -> np.ndarray:
     """i.i.d. front increments loc + rate^-1 ln(sum 1/E_i)."""
     n_particles = _check_n(n_particles)
-    return loc + _log_recip_sums(n_particles, n_samples, rng, dtype) / rate
+    return loc + _log_recip_sums(n_particles, n_samples, rng) / rate
 
 
 def _jackknife_se_of_variance(x: np.ndarray) -> float:
@@ -108,12 +111,11 @@ class VSigmaEstimate:
 
 
 def v_sigma_mc(n_particles: int, n_samples: int, rng: np.random.Generator,
-               loc: float = 0.0, rate: float = 1.0,
-               dtype=np.float32) -> VSigmaEstimate:
+               loc: float = 0.0, rate: float = 1.0) -> VSigmaEstimate:
     """Monte Carlo speed and increment variance with jackknife errors."""
     if n_samples < 3:
         raise ValueError("need at least 3 samples")
-    ups = upsilon_samples(n_particles, n_samples, rng, loc, rate, dtype)
+    ups = upsilon_samples(n_particles, n_samples, rng, loc, rate)
     s2 = float(np.var(ups, ddof=1))
     return VSigmaEstimate(
         v=float(ups.mean()),
@@ -264,21 +266,20 @@ def scaling_params(n_particles: int, tol: float = 1e-12) -> ScalingParams:
 
 
 def normalized_increment_samples(n_particles: int, n_samples: int,
-                                 rng: np.random.Generator,
-                                 dtype=np.float32) -> np.ndarray:
+                                 rng: np.random.Generator) -> np.ndarray:
     """Samples of (b_N/N)(ln sum 1/E_i - ln b_N) - C, approaching the
     centered stable law exp(psi_0)."""
     p = scaling_params(n_particles)
-    logs = _log_recip_sums(p.n, n_samples, rng, dtype)
+    logs = _log_recip_sums(p.n, n_samples, rng)
     return (logs - math.log(p.b)) / p.rate - constant_C()
 
 
-def s_hat_samples(n_particles: int, n_samples: int, rng: np.random.Generator,
-                  dtype=np.float32) -> np.ndarray:
+def s_hat_samples(n_particles: int, n_samples: int,
+                  rng: np.random.Generator) -> np.ndarray:
     """Samples of (sum 1/E_i - b_N) / N, the pre-log normalized sum."""
     n_particles = _check_n(n_particles)
     b = b_of_N(n_particles)
-    sums = _recip_sums(n_particles, n_samples, rng, dtype)
+    sums = _recip_sums(n_particles, n_samples, rng)
     return (sums - b) / n_particles
 
 
@@ -319,8 +320,8 @@ def stable_reference_samples(n_samples: int,
 
 
 def speeded_front_samples(n_particles: int, m: int, tau_grid,
-                          n_paths: int, rng: np.random.Generator,
-                          dtype=np.float32) -> np.ndarray:
+                          n_paths: int,
+                          rng: np.random.Generator) -> np.ndarray:
     """Paths of the sped-up centered front on a grid of times.
 
     phi_N(tau) = (sum_{t <= [m tau]} Ups_N(t)) / m - tau ln m, one row per
@@ -334,8 +335,8 @@ def speeded_front_samples(n_particles: int, m: int, tau_grid,
         raise ValueError("m and n_paths must be >= 1")
     counts = np.floor(m * tau + 1e-12).astype(int)
     total = int(counts.max())
-    ups = normalized_increment_samples(n_particles, n_paths * total, rng,
-                                       dtype).reshape(n_paths, total)
+    ups = normalized_increment_samples(n_particles, n_paths * total,
+                                       rng).reshape(n_paths, total)
     cum = np.concatenate([np.zeros((n_paths, 1)), np.cumsum(ups, axis=1)],
                          axis=1)
     return cum[:, counts] / m - tau * math.log(m)

@@ -31,6 +31,21 @@ __all__ = [
 # underflow, so the 1 - 1/z + 2/z^2 - 6/z^3 expansion is accurate to ~4e-10.
 _EXP1_ASYMPTOTIC = 500.0
 _EXP_CLAMP = 690.0
+# smallest exponential draw: -ln(1 - u) is 0 only at u = 0, which is read as
+# the middle of its cell [0, 2^-53)
+_EXP_FLOOR = 2.0 ** -54
+
+
+def _exponential_from_uniform(u: np.ndarray) -> np.ndarray:
+    """Map float64 uniforms on [0, 1) in place to Exp(1) draws.
+
+    E = max(-log1p(-u), 2^-54), elementwise through numpy's vectorized log1p,
+    so E is finite and positive and ln E and 1/E never overflow. Returns u.
+    """
+    np.negative(u, out=u)
+    np.log1p(u, out=u)
+    np.negative(u, out=u)
+    return np.maximum(u, _EXP_FLOOR, out=u)
 
 
 class NoiseLaw:
@@ -62,7 +77,13 @@ class GumbelLaw(NoiseLaw):
             raise ValueError(f"loc must be finite, got {self.loc}")
 
     def sample(self, rng, size=None):
-        return rng.gumbel(self.loc, 1.0 / self.rate, size)
+        # loc - ln(E) / rate with E ~ Exp(1), one uniform per element, so a
+        # block draws the same as its rows in order
+        g = _exponential_from_uniform(np.asarray(rng.random(size)))
+        np.log(g, out=g)
+        np.divide(g, -self.rate, out=g)
+        g += self.loc
+        return float(g) if size is None else g
 
     def quantile(self, u):
         # inverse CDF; note the 1/rate on the double log
@@ -204,11 +225,10 @@ class SandwichedGumbelLaw(NoiseLaw):
 
     def sample(self, rng, size=None):
         if self._is_point():
-            return rng.gumbel(0.0, 1.0, size) + 0.5 * (self.lo + self.hi)
-        # one uniform pair per element: a block draws the same as its rows;
-        # e = -log(1 - u) is 0 only at u = 0, read as its cell's middle
+            return GumbelLaw(loc=0.5 * (self.lo + self.hi)).sample(rng, size)
+        # one uniform pair per element: a block draws the same as its rows
         u = rng.random(2 if size is None else (*np.atleast_1d(size), 2))
-        e = np.maximum(-np.log1p(-u[..., 0]), 2.0 ** -54)
+        e = _exponential_from_uniform(u[..., 0])
         return self.lo + (self.hi - self.lo) * u[..., 1] - np.log(e)
 
     def log_cdf(self, x):

@@ -6,7 +6,7 @@ from scipy import integrate, stats
 
 from frontlab import gumbel_exact as gx
 
-from conftest import make_rng
+from conftest import ZeroUniforms, make_rng
 
 
 # ---------------------------------------------------------------------------
@@ -53,7 +53,7 @@ def test_v_sigma_mc_matches_dblquad_at_n2():
     # the log singularity at x -> 0 trips quadpack's divergence heuristic;
     # the asserted error estimate and the MC agreement below cover it
     mean, var = dblquad_log_recip_sum_moments()
-    est = gx.v_sigma_mc(2, 400_000, make_rng(11), dtype=np.float64)
+    est = gx.v_sigma_mc(2, 400_000, make_rng(11))
     assert abs(est.v - mean) < 4 * est.v_std_err
     assert abs(est.sigma2 - var) < 4 * est.sigma2_std_err
 
@@ -73,11 +73,19 @@ def test_v_sigma_mc_validation():
         gx.upsilon_samples(0, 10, make_rng(0))
 
 
-def test_float32_route_unbiased_enough():
-    # float32 vs float64 sampling paths agree in distribution
-    a = gx.upsilon_samples(8, 40_000, make_rng(2), dtype=np.float32)
-    b = gx.upsilon_samples(8, 40_000, make_rng(3), dtype=np.float64)
-    assert stats.ks_2samp(a, b).pvalue > 1e-3
+@pytest.mark.parametrize("n", [1, 7, 10_000])
+def test_recip_sums_do_not_depend_on_block_length(n, monkeypatch):
+    m = max(1, gx._RECIP_BLOCK // n) + 3  # one full default block, then 3
+    full = gx._recip_sums(n, m, make_rng(4))
+    monkeypatch.setattr(gx, "_RECIP_BLOCK", 1)
+    np.testing.assert_array_equal(gx._recip_sums(n, m, make_rng(4)), full)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_recip_sums_zero_uniform_is_finite():
+    # u = 0 is read as the middle of its cell: E = 2^-54, 1/E = 2^54
+    np.testing.assert_array_equal(gx._recip_sums(1, 3, ZeroUniforms()),
+                                  np.full(3, 2.0 ** 54))
 
 
 # ---------------------------------------------------------------------------

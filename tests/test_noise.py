@@ -16,6 +16,8 @@ from frontlab.noise import (
     to_json,
 )
 
+from conftest import ZeroUniforms
+
 # ---------------------------------------------------------------------------
 # oracles: independent routes to the same distributions
 
@@ -56,11 +58,47 @@ def test_gumbel_quantile_median():
 
 
 def test_gumbel_sampler_matches_quantile_route(rng):
-    # two independent sampling routes: rng.gumbel vs inverse-CDF
+    # two transforms of uniforms: -ln(-ln(1 - u)) vs the inverse CDF
     law = GumbelLaw(loc=0.5, rate=1.5)
     a = law.sample(rng, 20_000)
     b = law.quantile(rng.random(20_000))
     assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_gumbel_sampler_matches_numpy_gumbel(rng):
+    # independent route: numpy's own Gumbel sampler, scale = 1/rate
+    law = GumbelLaw(loc=0.5, rate=1.5)
+    a = law.sample(rng, 20_000)
+    b = rng.gumbel(0.5, 1.0 / 1.5, 20_000)
+    assert stats.ks_2samp(a, b).pvalue > 1e-3
+
+
+def test_gumbel_block_draw_equals_row_and_scalar_draws():
+    # one uniform per element: block length cannot change the stream
+    law, b, n = GumbelLaw(loc=0.3, rate=1.5), 4, 5
+    block = law.sample(np.random.default_rng(11), (b, n, n))
+    rng = np.random.default_rng(11)
+    rows = np.stack([law.sample(rng, (n, n)) for _ in range(b)])
+    rng = np.random.default_rng(11)
+    scalars = np.array([law.sample(rng) for _ in range(b * n * n)])
+    np.testing.assert_array_equal(block, rows)
+    np.testing.assert_array_equal(block.ravel(), scalars)
+
+
+def test_gumbel_scalar_sample_is_python_float(rng):
+    # as rng.gumbel() with no size
+    assert type(GumbelLaw(loc=0.3, rate=1.5).sample(rng)) is float
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_gumbel_zero_uniform_is_finite():
+    # u = 0 is read as the middle of its cell: E = 2^-54, -ln E = 54 ln 2
+    want = 54.0 * math.log(2.0)
+    assert GumbelLaw().sample(ZeroUniforms()) == want
+    np.testing.assert_array_equal(GumbelLaw().sample(ZeroUniforms(), 3),
+                                  np.full(3, want))
+    point = SandwichedGumbelLaw(0.0, 0.0, shift_law="point")
+    assert point.sample(ZeroUniforms()) == want
 
 
 def test_gumbel_log_cdf_matches_scipy():
@@ -240,12 +278,13 @@ def test_sandwiched_sample_matches_cdf(rng):
 
 
 def test_sandwiched_block_draw_equals_row_draws():
-    # one uniform pair per element: block length cannot change the stream
-    law = SandwichedGumbelLaw(-1.0, 0.5)
-    block = law.sample(np.random.default_rng(11), (3, 2, 2))
-    rng = np.random.default_rng(11)
-    rows = np.stack([law.sample(rng, (2, 2)) for _ in range(3)])
-    np.testing.assert_array_equal(block, rows)
+    # uniforms per element: block length cannot change the stream
+    for shift_law in ("uniform", "point"):
+        law = SandwichedGumbelLaw(-1.0, 0.5, shift_law=shift_law)
+        block = law.sample(np.random.default_rng(11), (3, 2, 2))
+        rng = np.random.default_rng(11)
+        rows = np.stack([law.sample(rng, (2, 2)) for _ in range(3)])
+        np.testing.assert_array_equal(block, rows)
 
 
 def test_sandwiched_validation():
