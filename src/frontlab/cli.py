@@ -55,8 +55,21 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.arange(lo, hi + step / 2, step)
 
 
-def _rng(seed: int) -> np.random.Generator:
-    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(seed)))
+def _rng(seed: int, *cell: int) -> np.random.Generator:
+    """The run's generator, or with ``cell`` = (i,) the i-th cell's own
+    stream: child i of SeedSequence(seed), as ``spawn`` numbers them."""
+    return np.random.Generator(np.random.SFC64(
+        np.random.SeedSequence(seed, spawn_key=cell)))
+
+
+def _cf_distance(n: int, samples: int, u_grid: str,
+                 rng: np.random.Generator) -> float:
+    """cf distance of ``samples`` normalized increments at N = n to the
+    stable limit, on the grid ``u_grid`` less u = 0."""
+    grid = _parse_grid(u_grid)
+    grid = grid[np.abs(grid) > 1e-12]
+    return gumbel_exact.cf_distance(
+        gumbel_exact.normalized_increment_samples(n, samples, rng), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -96,7 +109,7 @@ def _run_gumbel(args, seed):
     rows = [
         ("b_N", gumbel_exact.b_of_N(n), ""),
         ("b_N_over_N_asymptotic", gumbel_exact.b_over_n_asymptotic(n), ""),
-        ("constant_C", gumbel_exact.constant_C(args.quad_tol), ""),
+        ("constant_C", gumbel_exact.constant_C(), ""),
     ]
     if n >= 3:
         rows += [
@@ -106,7 +119,7 @@ def _run_gumbel(args, seed):
              ""),
         ]
     if n >= 4:
-        p = gumbel_exact.scaling_params(n, tol=args.quad_tol)
+        p = gumbel_exact.scaling_params(n)
         rows += [("lambda_N", p.rate, ""), ("a_N", p.shift, "")]
     if args.samples:
         est = gumbel_exact.v_sigma_mc(n, args.samples, rng,
@@ -114,11 +127,7 @@ def _run_gumbel(args, seed):
         rows += [("v_mc", est.v, est.v_std_err),
                  ("sigma2_mc", est.sigma2, est.sigma2_std_err)]
     if args.u_grid:
-        grid = _parse_grid(args.u_grid)
-        grid = grid[np.abs(grid) > 1e-12]
-        samples = gumbel_exact.normalized_increment_samples(
-            n, args.samples or 20_000, rng)
-        dist = gumbel_exact.cf_distance(samples, grid)
+        dist = _cf_distance(n, args.samples or 20_000, args.u_grid, rng)
         rows.append(("cf_distance", dist, ""))
     if args.emit == "json":
         return "json", {
@@ -208,6 +217,8 @@ def _run_zchain(args, seed):
 def _run_profile(args, seed):
     law = from_json(args.spec)
     rng = _rng(seed)
+    rate = law.rate if isinstance(law, GumbelLaw) else 1.0
+    loc = law.loc if isinstance(law, GumbelLaw) else 0.0
     if args.test == "reaction":
         grid = np.linspace(-10.0, 10.0, 1001)
         cells = [
@@ -218,7 +229,8 @@ def _run_profile(args, seed):
         return "json", {"test": "reaction", "cells": cells, "seed": seed}
     if args.test == "marginal":
         rep = profile.marginal_gumbel_test(law, args.n, args.t, rng,
-                                           k=args.k, replicas=args.replicas)
+                                           k=args.k, replicas=args.replicas,
+                                           target_rate=rate, target_loc=loc)
         return "json", {"test": "marginal", "N": rep.n, "t": rep.t,
                         "k": rep.k, "replicas": rep.replicas,
                         "ks": list(rep.ks), "max_corr": rep.max_corr,
@@ -236,8 +248,6 @@ def _run_profile(args, seed):
                         "seed": seed}
 
     state = engine.advance(engine.initial_state(args.n), law, rng, args.t)
-    rate = law.rate if isinstance(law, GumbelLaw) else 1.0
-    loc = law.loc if isinstance(law, GumbelLaw) else 0.0
     if args.test == "ks":
         ks = profile.centered_ks(state, rate=rate, loc=loc)
         p_value = float(kolmogorov(ks * math.sqrt(args.n)))
@@ -254,14 +264,9 @@ def _run_profile(args, seed):
 def _run_scaling(args, seed):
     if not args.n_list:
         raise ValueError("need at least one --N")
-    grid = _parse_grid(args.u_grid)
-    grid = grid[np.abs(grid) > 1e-12]
-    rows = []
-    for i, n in enumerate(args.n_list):
-        rng = _rng_for_cell(seed, i)
-        samples = gumbel_exact.normalized_increment_samples(
-            n, args.samples, rng)
-        rows.append([n, _fmt(gumbel_exact.cf_distance(samples, grid))])
+    rows = [[n, _fmt(_cf_distance(n, args.samples, args.u_grid,
+                                  _rng(seed, i)))]
+            for i, n in enumerate(args.n_list)]
     return "csv", ["N", "cf_distance"], rows
 
 
@@ -269,24 +274,14 @@ def _run_scaling(args, seed):
 # sweep
 
 
-def _rng_for_cell(seed: int, index: int) -> np.random.Generator:
-    key = np.random.SeedSequence(seed).spawn(index + 1)[index]
-    return np.random.Generator(np.random.SFC64(key))
-
-
 def _sweep_cell(task, n, q, samples, steps, u_grid, seed, index):
     try:
-        rng = _rng_for_cell(seed, index)
+        rng = _rng(seed, index)
         if task == "zchain":
             row = _zchain_cell("bernoulli", n, q, None, "float", steps,
                                16, rng)
             return [str(row[0])] + [_fmt(v) for v in row[1:]] + ["ok"]
-        grid = _parse_grid(u_grid)
-        grid = grid[np.abs(grid) > 1e-12]
-        samples_arr = gumbel_exact.normalized_increment_samples(
-            n, samples, rng)
-        dist = gumbel_exact.cf_distance(samples_arr, grid)
-        return [str(n), _fmt(dist), "ok"]
+        return [str(n), _fmt(_cf_distance(n, samples, u_grid, rng)), "ok"]
     except Exception as e:  # cell failures are flagged, not fatal
         width = 7 if task == "zchain" else 3
         head = [str(n)] if q is None else [str(n), str(q)]
@@ -309,15 +304,11 @@ def _run_sweep(args, seed):
              seed, i) for i, (n, q) in enumerate(cells)]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
-            rows = list(pool.map(_sweep_cell_star, jobs))
+            rows = list(pool.map(_sweep_cell, *zip(*jobs)))
     else:
         rows = [_sweep_cell(*job) for job in jobs]
     failed = any(row[-1] != "ok" for row in rows)
     return ("csv", header, rows), failed
-
-
-def _sweep_cell_star(job):
-    return _sweep_cell(*job)
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +321,17 @@ def _fmt(v) -> str:
     return repr(float(v))
 
 
-def _render(payload) -> tuple[str, bytes]:
+def _render(payload, manifest: dict) -> bytes:
+    """JSON with the manifest inline, or CSV."""
     if payload[0] == "json":
-        text = json.dumps(payload[1], indent=2, sort_keys=True) + "\n"
-        return "json", text.encode()
+        obj = dict(payload[1], manifest=manifest)
+        return (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
     _, header, rows = payload
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(header)
     writer.writerows(rows)
-    return "csv", buf.getvalue().encode()
+    return buf.getvalue().encode()
 
 
 def _manifest(args, seed: int) -> dict:
@@ -365,17 +357,13 @@ def _write_atomic(path: str, data: bytes) -> None:
 
 
 def _emit(args, payload, seed: int) -> None:
-    kind, data = _render(payload)
     manifest = _manifest(args, seed)
-    if kind == "json":
-        obj = dict(payload[1])
-        obj["manifest"] = manifest
-        data = (json.dumps(obj, indent=2, sort_keys=True) + "\n").encode()
+    data = _render(payload, manifest)
     if args.out is None:
         sys.stdout.write(data.decode())
         return
     _write_atomic(args.out, data)
-    if kind == "csv":
+    if payload[0] == "csv":
         manifest["sha256"] = hashlib.sha256(data).hexdigest()
         side = (json.dumps(manifest, indent=2, sort_keys=True) + "\n")
         _write_atomic(args.out + ".manifest.json", side.encode())
@@ -418,7 +406,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--a", dest="loc", type=float, default=0.0)
     p.add_argument("--lambda", dest="rate", type=float, default=1.0)
-    p.add_argument("--quad-tol", type=float, default=1e-12)
     p.add_argument("--u-grid", default=None, metavar="U0:U1:STEP")
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
@@ -453,7 +440,6 @@ def build_parser() -> argparse.ArgumentParser:
     _int_list(p, "--N")
     p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--u-grid", default="-2:2:0.25", metavar="U0:U1:STEP")
-    p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("sweep", help="cartesian sweep with one row per cell")
     p.add_argument("--task", choices=["zchain", "gumbel"], required=True)
@@ -463,7 +449,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--steps", type=int, default=20_000)
     p.add_argument("--u-grid", default="-2:2:0.25", metavar="U0:U1:STEP")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
-    p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
     for sp in sub.choices.values():
         sp.add_argument("--out", default=None, help="output path")

@@ -182,10 +182,14 @@ def step_gumbel_exact(state: ParticleState, law: GumbelLaw,
     return ParticleState(positions=phi + fresh, t=state.t + 1, prev_front=phi)
 
 
+# source binning and evaluation grid step of step_conditional
+_GRID_STEP = 2e-3
+
+
 def step_conditional(state: ParticleState, law: NoiseLaw,
-                     rng: np.random.Generator, grid_step: float = 2e-3,
+                     rng: np.random.Generator,
                      front: FrontFunctional | None = None) -> ParticleState:
-    """Theta(N log N) step for continuous laws, exact in law up to O(grid_step).
+    """Theta(N log N) step for continuous laws, exact up to O(_GRID_STEP).
 
     Given X(t-1) the new positions are conditionally i.i.d. with log-CDF
     L(x) = sum_j ln F(x - X_j). The sources are binned on a uniform grid, L is
@@ -201,9 +205,9 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     n = pos.size
     lo, hi = float(pos.min()), float(pos.max())
 
-    nb = int(math.ceil((hi - lo) / grid_step)) + 1
+    nb = int(math.ceil((hi - lo) / _GRID_STEP)) + 1
     counts = np.bincount(
-        np.clip(((pos - lo) / grid_step).astype(np.int64), 0, nb - 1),
+        np.clip(((pos - lo) / _GRID_STEP).astype(np.int64), 0, nb - 1),
         minlength=nb).astype(float)
 
     # expand the evaluation window until the conditional CDF covers
@@ -215,9 +219,9 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     top = log_sum_exp(pos, getattr(law, "rate", 1.0))
     pad_left, pad_right = 8.0, 16.0
     for _ in range(30):
-        k = int(math.ceil((top - lo + pad_left + pad_right) / grid_step)) + 1
+        k = int(math.ceil((top - lo + pad_left + pad_right) / _GRID_STEP)) + 1
         x0 = lo - pad_left
-        ends = np.array([[x0], [x0 + (k - 1) * grid_step]])
+        ends = np.array([[x0], [x0 + (k - 1) * _GRID_STEP]])
         left, right = law.log_cdf(ends - pos).sum(axis=1)
         if right < -1e-12:
             pad_right *= 2.0
@@ -228,7 +232,7 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     else:
         raise RuntimeError("conditional CDF window failed to converge")
 
-    offsets = (x0 - lo) + np.arange(-(nb - 1), k) * grid_step
+    offsets = (x0 - lo) + np.arange(-(nb - 1), k) * _GRID_STEP
     # Every term of L is <= 0, so flooring the tabulated log-CDF at -60
     # leaves L unchanged wherever L > -60, the only part that is kept; it
     # stops terms near -1e10 from far sources filling the FFT's round-off.
@@ -238,7 +242,7 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     spec = (np.fft.rfft(counts, size)
             * np.fft.rfft(np.maximum(law.log_cdf(offsets), -60.0), size))
     lcdf = np.fft.irfft(spec, size)[nb - 1:nb - 1 + k]
-    grid = x0 + np.arange(k) * grid_step
+    grid = x0 + np.arange(k) * _GRID_STEP
     lcdf = np.maximum.accumulate(lcdf)  # fft fuzz can break monotonicity
     keep = (lcdf > -60.0) & (lcdf < -1e-14)
     draws = np.interp(np.log(rng.random(n)), lcdf[keep], grid[keep])
@@ -291,6 +295,13 @@ class SpeedEstimate:
 def default_burn_in(n: int) -> int:
     # 10x the worst-case expected renewal wait N^N, capped
     return min(10 * n ** n, 10_000)
+
+
+def _check_batches(n_batches: int, steps: int) -> None:
+    """A batch-means run needs two batches at least, and a step for each."""
+    if not 2 <= n_batches <= steps:
+        raise ValueError(f"need 2 <= n_batches <= steps, got n_batches = "
+                         f"{n_batches} for {steps} steps")
 
 
 def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
@@ -456,8 +467,7 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         rng = np.random.default_rng()
     if t_run < 100:
         raise ValueError(f"t_run must be >= 100, got {t_run}")
-    if t_run < n_batches:
-        raise ValueError("t_run smaller than the number of batches")
+    _check_batches(n_batches, t_run)
     if t_burn is None:
         t_burn = default_burn_in(n)
     state = initial_state(n, positions)

@@ -43,6 +43,9 @@ __all__ = [
 ]
 
 _EULER_GAMMA = float(np.euler_gamma)
+# absolute (and relative) quadrature tolerances of C and of the Levy oracle
+_QUAD_TOL = 1e-12
+_LEVY_TOL = 1e-10
 
 
 def _check_n(n_particles: int) -> int:
@@ -165,7 +168,7 @@ def expansion_sigma2(n_particles: int, rate: float = 1.0) -> float:
 
 
 @lru_cache(maxsize=None)
-def constant_C(tol: float = 1e-12) -> float:
+def constant_C() -> float:
     """Drift constant of the stable exponent, by quadrature.
 
     C = Im[ integral_1^inf (e^{ix} - 1) x^-2 dx
@@ -174,9 +177,9 @@ def constant_C(tol: float = 1e-12) -> float:
     1 - gamma); computed, never hardcoded.
     """
     tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=1.0,
-                   epsabs=tol)
+                   epsabs=_QUAD_TOL)
     head, _ = quad(lambda x: (math.sin(x) - x) / x ** 2, 0.0, 1.0,
-                   epsabs=tol, epsrel=tol)
+                   epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
     return tail + head
 
 
@@ -204,11 +207,11 @@ class StableExponent:
         return 1j * self.C * u + _psi_zero(u)
 
 
-def stable_exponent(tol: float = 1e-12) -> StableExponent:
-    return StableExponent(C=constant_C(tol))
+def stable_exponent() -> StableExponent:
+    return StableExponent(C=constant_C())
 
 
-def psi_from_levy(u: float, tol: float = 1e-10) -> complex:
+def psi_from_levy(u: float) -> complex:
     """Direct quadrature of the Levy-measure integrals defining psi_C.
 
     Real part: integral of (cos(ux) - 1) x^-2 over (0, inf).
@@ -221,13 +224,13 @@ def psi_from_levy(u: float, tol: float = 1e-10) -> complex:
     s = math.copysign(1.0, u)
     w = abs(u)
     re_tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="cos", wvar=w,
-                      epsabs=tol)
+                      epsabs=_LEVY_TOL)
     re_head, _ = quad(lambda x: (math.cos(w * x) - 1.0) / x ** 2, 0.0, 1.0,
-                      epsabs=tol, epsrel=tol)
+                      epsabs=_LEVY_TOL, epsrel=_LEVY_TOL)
     im_tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=w,
-                      epsabs=tol)
+                      epsabs=_LEVY_TOL)
     im_head, _ = quad(lambda x: (math.sin(w * x) - w * x) / x ** 2, 0.0, 1.0,
-                      epsabs=tol, epsrel=tol)
+                      epsabs=_LEVY_TOL, epsrel=_LEVY_TOL)
     val = complex(re_tail - 1.0 + re_head, im_tail + im_head)
     return val if s > 0 else val.conjugate()
 
@@ -256,11 +259,11 @@ class ScalingParams:
         return math.log(self.b) + self.rate * math.log(m)
 
 
-def scaling_params(n_particles: int, tol: float = 1e-12) -> ScalingParams:
+def scaling_params(n_particles: int) -> ScalingParams:
     n_particles = _check_n(n_particles)
     b = b_of_N(n_particles)
     rate = n_particles / b
-    c = constant_C(tol)
+    c = constant_C()
     return ScalingParams(n=n_particles, b=b, rate=rate,
                          shift=-c - math.log(b) / rate)
 

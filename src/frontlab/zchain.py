@@ -46,7 +46,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import SpeedEstimate, batch_means
+from .engine import SpeedEstimate, _check_batches, batch_means
 from .noise import LatticeLaw
 
 __all__ = [
@@ -74,6 +74,7 @@ __all__ = [
 _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
 _SIM_BLOCK = 1 << 12   # uniforms per block draw of the chain simulation
+_BOUNDARY_TOL = 1e-12  # largest stationary mass on the lumped bottom slot
 
 
 def parse_q(q, exact: bool = False):
@@ -89,46 +90,35 @@ def parse_q(q, exact: bool = False):
     return val if exact else float(val)
 
 
-def _multinomial_pmf(counts, probs):
-    """Multinomial point mass; works for float and Fraction probabilities.
-
-    Zero-count factors are skipped so that binomial rows and two-class
-    multinomial rows run through bit-identical arithmetic.
-    """
-    n = sum(counts)
-    coeff = math.factorial(n)
-    for c in counts:
-        coeff //= math.factorial(c)
-    value = probs[0] - probs[0] + coeff  # 0 or Fraction(0) of matching type
-    for c, p in zip(counts, probs):
-        if c:
-            value = value * p ** c
-    return value
-
-
 def bernoulli_row(n: int, q, m: int, exact: bool = False):
-    """Transition row of the leader-count chain from count m.
-
-    Success probability 1 - q^m for m >= 1, 1 - q^n for m = 0. Returns an
-    (n+1)-vector over the next count, numpy in float mode, Fractions in
-    exact mode.
+    """Transition row of the leader-count chain from count m: row m of
+    :func:`bernoulli_matrix`, numpy in float mode, Fractions in exact mode.
     """
     if not 0 <= m <= n:
         raise ValueError(f"count m must lie in [0, {n}], got {m}")
-    q = parse_q(q, exact)
-    exp = m if m >= 1 else n
-    # np.power, not q ** exp: numpy's vectorized pow differs from libm by an
-    # ulp, and the depth-chain reduction is checked for bit equality
-    fail = q ** exp if exact else float(np.power(q, exp))
-    succ = 1 - fail
-    row = [_multinomial_pmf((n - j, j), (fail, succ)) for j in range(n + 1)]
-    return row if exact else np.array(row)
+    row = bernoulli_matrix(n, q, exact)[m]
+    return list(row) if exact else row
 
 
 def bernoulli_matrix(n: int, q, exact: bool = False) -> np.ndarray:
-    """Transition matrix; float, or object dtype holding Fractions."""
-    rows = [bernoulli_row(n, q, m, exact) for m in range(n + 1)]
-    return np.array(rows, dtype=object if exact else float)
+    """Transition matrix; float, or object dtype holding Fractions.
+
+    Row m has success probability 1 - q^m for m >= 1, 1 - q^n for m = 0.
+    Entry j is C(n, j) fail^(n-j) succ^j, multiplied in that order from
+    scalar powers, with the coefficients from one ``math.comb`` row.
+    """
+    q = parse_q(q, exact)
+    coeff = np.array([math.comb(n, j) for j in range(n + 1)],
+                     dtype=object if exact else float)
+    p = np.empty((n + 1, n + 1), dtype=coeff.dtype)
+    for m in range(n + 1):
+        # np.power, not q ** m: numpy's vectorized pow differs from libm by
+        # an ulp, and the depth-chain reduction is checked for bit equality
+        fail = q ** (m or n) if exact else float(np.power(q, m or n))
+        succ = 1 - fail
+        p[m] = (coeff * [fail ** (n - j) for j in range(n + 1)]
+                * [succ ** j for j in range(n + 1)])
+    return p
 
 
 def _gth(a: np.ndarray, deficit: np.ndarray) -> None:
@@ -210,7 +200,9 @@ def bernoulli_stationary(n: int, q, exact: bool = False):
 
 
 def expected_return_time(n: int, q, exact: bool = False):
-    """Expected first return time to count 0, +inf past the float range."""
+    """Expected first return time to count 0, +inf past the float range
+    (dense solve, n <= 64)."""
+    _check_dense(n)
     return _return_time(bernoulli_matrix(n, q, exact))
 
 
@@ -278,8 +270,7 @@ def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
     The chain runs as an inverse-CDF walk on the float transition rows that
     ``bernoulli_speed`` solves, one uniform per step (``_bernoulli_counts``).
     """
-    if steps < n_batches:
-        raise ValueError("steps must cover the batches")
+    _check_batches(n_batches, steps)
     moved = np.zeros(steps + 1)
     moved[1:] = _bernoulli_counts(n, q, steps, rng) >= 1
     return batch_means(np.cumsum(moved), n_batches)
@@ -478,11 +469,11 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
     classes, recentered. Landing classes lie in [law.bottom, law.top] (the
     leader is a parent), so few class sets occur: each is recentered and
     grouped by target once, in arrays, and later states with the same set
-    only recompute the masses. Masses multiply in the order of
-    ``_multinomial_pmf``, from scalar powers, and each target sums its masses
-    in composition order, so rows are bit-identical to a per-composition
-    loop. New states are numbered in order of first appearance, which keeps
-    the BFS order.
+    only recompute the masses. Masses multiply in the order of a scalar
+    multinomial pmf (coefficient, then each class's power in class order),
+    from scalar powers, and each target sums its masses in composition
+    order, so rows are bit-identical to a per-composition loop. New states
+    are numbered in order of first appearance, which keeps the BFS order.
     """
     start = np.zeros(window, dtype=np.int64)
     start[-1] = n
@@ -536,7 +527,7 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
 
 
 def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
-                  max_states: int = 200_000, boundary_tol: float = 1e-12,
+                  max_states: int = 200_000,
                   widenings: int = 3) -> LatticeSpeedReport:
     """Exact (windowed) front speed for a bounded integer jump law.
 
@@ -544,7 +535,7 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
     reports the speed as the stationary mean of the per-step leader
     displacement. The window widens (doubling, up to ``widenings`` times)
     while the stationary mass touching the lumped bottom slot exceeds
-    ``boundary_tol``; a warning marks reports where it still does.
+    ``_BOUNDARY_TOL``; a warning marks reports where it still does.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -562,11 +553,11 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
 
         arr = np.array(states)
         boundary = float(nu[arr[:, 0] > 0].sum())
-        if boundary <= boundary_tol or attempt == widenings:
+        if boundary <= _BOUNDARY_TOL or attempt == widenings:
             break
         window *= 2
-    if boundary > boundary_tol:
-        warnings.warn(f"boundary mass {boundary:g} above {boundary_tol:g} "
+    if boundary > _BOUNDARY_TOL:
+        warnings.warn(f"boundary mass {boundary:g} above {_BOUNDARY_TOL:g} "
                       f"after widening to window {window}")
 
     # P(step displacement <= class r | state) = cum_r^n, so the speed is
@@ -580,7 +571,7 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
         value=value, window=window, n_states=size, boundary_mass=boundary,
         ladder=ladder,
         ladder_bounds=law.cdf_int(law.top - np.arange(1, span + 1)) ** n,
-        truncated=boundary > boundary_tol)
+        truncated=boundary > _BOUNDARY_TOL)
 
 
 def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
@@ -593,8 +584,7 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
     and displacement, for the rest of the run: the chain keeps revisiting a
     few states.
     """
-    if steps < n_batches:
-        raise ValueError("steps must cover the batches")
+    _check_batches(n_batches, steps)
     state = np.zeros(window, dtype=np.int64)
     state[-1] = n
     state = state.tobytes()

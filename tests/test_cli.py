@@ -6,6 +6,7 @@ import io
 import json
 import math
 
+import numpy as np
 import pytest
 
 from frontlab import cli
@@ -201,6 +202,19 @@ def test_profile_marginal_json(capsys):
     assert 0.0 <= obj["max_corr"] <= 1.0
 
 
+@pytest.mark.parametrize("spec", ['{"type":"gumbel","a":1.0}',
+                                  '{"type":"gumbel","lambda":2.0}'])
+def test_profile_marginal_targets_the_laws_gumbel(spec, capsys):
+    # the centered coordinates are Gumbel(loc, 1/rate) of the noise law
+    # itself; against the standard Gumbel, loc = 1 reads KS ~ 0.35
+    code, out, _ = run(["profile", "--spec", spec, "--N", "100", "--t", "2",
+                        "--test", "marginal", "--k", "2",
+                        "--replicas", "100"], capsys)
+    assert code == 0
+    band = math.sqrt(math.log(2 / 1e-3) / (2 * 100))
+    assert max(json.loads(out)["ks"]) < band
+
+
 def test_profile_fluct_json(capsys):
     code, out, _ = run(["profile", "--spec", GUMBEL, "--N", "100", "--t", "2",
                         "--test", "fluct", "--replicas", "30",
@@ -223,6 +237,28 @@ def test_scaling_distance_shrinks(capsys):
     header, rows = parse_csv(out)
     assert header == ["N", "cf_distance"]
     assert float(rows[1][1]) < float(rows[0][1])
+
+
+@pytest.mark.parametrize("seed", [0, 1729, 2 ** 40 + 3])
+def test_cell_streams_are_spawned_children(seed):
+    children = np.random.SeedSequence(seed).spawn(5)
+    for i, child in enumerate(children):
+        want = np.random.Generator(np.random.SFC64(child)).random(8)
+        np.testing.assert_array_equal(cli._rng(seed, i).random(8), want)
+    want = np.random.Generator(
+        np.random.SFC64(np.random.SeedSequence(seed))).random(8)
+    np.testing.assert_array_equal(cli._rng(seed).random(8), want)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scaling", "--N", "100", "--emit", "json"],
+    ["sweep", "--task", "gumbel", "--N", "100", "--emit", "json"],
+    ["gumbel", "--N", "10", "--quad-tol", "1e-3"],
+])
+def test_removed_flags_are_usage_errors(argv, capsys):
+    code, out, _ = run(argv, capsys)
+    assert code == 2
+    assert out == ""
 
 
 def test_sweep_zchain_grid(capsys):

@@ -277,6 +277,10 @@ def test_estimate_speed_validation():
     with pytest.raises(ValueError):
         engine.estimate_speed(GumbelLaw(), 2, t_run=128, n_batches=256,
                               rng=make_rng(0))
+    for n_batches in (0, 1):   # no mean, or no batch-means standard error
+        with pytest.raises(ValueError, match="n_batches"):
+            engine.estimate_speed(GumbelLaw(), 2, t_run=1000,
+                                  n_batches=n_batches, rng=make_rng(0))
 
 
 def test_batch_means_uses_whole_batches():

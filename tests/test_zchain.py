@@ -122,6 +122,49 @@ def test_bernoulli_row_is_binomial():
         assert row.sum() == pytest.approx(1.0, abs=1e-14)
 
 
+def _ref_multinomial_pmf(counts, probs):
+    """Scalar multinomial point mass through big-int factorials; zero-count
+    factors are skipped."""
+    coeff = math.factorial(sum(counts))
+    for c in counts:
+        coeff //= math.factorial(c)
+    value = probs[0] - probs[0] + coeff  # 0 or Fraction(0) of matching type
+    for c, p in zip(counts, probs):
+        if c:
+            value = value * p ** c
+    return value
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 7, 16, 25, 39, 48, 64])
+def test_bernoulli_matrix_equals_factorial_reference(n):
+    # the depth-chain reduction is checked for bit equality, so the float
+    # rows are pinned bytewise to one multinomial pmf per entry
+    for q in (0.01, 0.1, 0.3, 0.5, 0.7, 0.9, 0.999):
+        want = []
+        for m in range(n + 1):
+            fail = float(np.power(q, m if m >= 1 else n))
+            want.append([_ref_multinomial_pmf((n - j, j), (fail, 1 - fail))
+                         for j in range(n + 1)])
+        got = bernoulli_matrix(n, q)
+        assert got.dtype == float
+        assert got.tobytes() == np.array(want).tobytes(), q
+        assert bernoulli_row(n, q, 1).tobytes() == got[1].tobytes()
+
+
+def test_bernoulli_matrix_exact_equals_factorial_reference():
+    q = Fraction(3, 10)
+    for n in (1, 2, 5, 9):
+        got = bernoulli_matrix(n, q, exact=True)
+        for m in range(n + 1):
+            fail = q ** (m if m >= 1 else n)
+            want = [_ref_multinomial_pmf((n - j, j), (fail, 1 - fail))
+                    for j in range(n + 1)]
+            assert list(got[m]) == want
+            row = bernoulli_row(n, q, m, exact=True)
+            assert isinstance(row, list) and row == want
+            assert all(isinstance(x, Fraction) for x in row)
+
+
 def test_bernoulli_row_validation():
     with pytest.raises(ValueError):
         bernoulli_row(3, 0.5, 4)
@@ -206,6 +249,13 @@ def test_float_stationary_survives_underflow():
     assert bernoulli_speed(33, 0.5) == 1.0
 
 
+def test_return_time_checks_size():
+    # the same dense-solve bounds as the stationary law and the speed
+    for n in (0, zchain._MAX_DENSE_N + 1):
+        with pytest.raises(ValueError):
+            expected_return_time(n, 0.5)
+
+
 def test_float_speed_passes_kac_check_across_the_range():
     # from nu(0) ~ 1 down through subnormal and underflowed gaps
     for n in range(8, 65, 8):
@@ -272,6 +322,19 @@ def test_chain_sim_matches_exact(rng):
     assert abs(est.value - bernoulli_speed(3, 0.5)) < 3 * est.std_err
     with pytest.raises(ValueError):
         bernoulli_chain_sim(3, 0.5, 10, rng)
+
+
+@pytest.mark.parametrize("n_batches", [0, 1])
+@pytest.mark.parametrize("sim", [
+    pytest.param(lambda b: bernoulli_chain_sim(3, 0.5, 1000, make_rng(0),
+                                               n_batches=b), id="bernoulli"),
+    pytest.param(lambda b: lattice_chain_sim(THREE_ATOM, 3, 1000, make_rng(0),
+                                             n_batches=b), id="lattice"),
+])
+def test_chain_sims_need_two_batches(sim, n_batches):
+    # one batch has no batch-means standard error, none has no mean
+    with pytest.raises(ValueError, match="n_batches"):
+        sim(n_batches)
 
 
 def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
@@ -500,7 +563,7 @@ def _ref_lattice_chain(law, n, window):
                 states.append(target)
                 queue.append(target)
             j = index[target]
-            row[j] = row.get(j, 0.0) + zchain._multinomial_pmf(
+            row[j] = row.get(j, 0.0) + _ref_multinomial_pmf(
                 split, s[support])
         rows.append(row)
     return states, rows, cums
