@@ -62,12 +62,11 @@ def _rng(seed: int, *cell: int) -> np.random.Generator:
         np.random.SeedSequence(seed, spawn_key=cell)))
 
 
-def _cf_distance(n: int, samples: int, u_grid: str,
+def _cf_distance(n: int, samples: int, u_grid: np.ndarray,
                  rng: np.random.Generator) -> float:
     """cf distance of ``samples`` normalized increments at N = n to the
-    stable limit, on the grid ``u_grid`` less u = 0."""
-    grid = _parse_grid(u_grid)
-    grid = grid[np.abs(grid) > 1e-12]
+    stable limit, on the parsed grid ``u_grid`` less u = 0."""
+    grid = u_grid[np.abs(u_grid) > 1e-12]
     return gumbel_exact.cf_distance(
         gumbel_exact.normalized_increment_samples(n, samples, rng), grid)
 
@@ -105,6 +104,7 @@ def _run_speed(args, seed):
 
 def _run_gumbel(args, seed):
     n = args.n
+    u_grid = _parse_grid(args.u_grid) if args.u_grid else None
     rng = _rng(seed)
     rows = [
         ("b_N", gumbel_exact.b_of_N(n), ""),
@@ -126,8 +126,8 @@ def _run_gumbel(args, seed):
                                       loc=args.loc, rate=args.rate)
         rows += [("v_mc", est.v, est.v_std_err),
                  ("sigma2_mc", est.sigma2, est.sigma2_std_err)]
-    if args.u_grid:
-        dist = _cf_distance(n, args.samples or 20_000, args.u_grid, rng)
+    if u_grid is not None:
+        dist = _cf_distance(n, args.samples or 20_000, u_grid, rng)
         rows.append(("cf_distance", dist, ""))
     if args.emit == "json":
         return "json", {
@@ -264,8 +264,8 @@ def _run_profile(args, seed):
 def _run_scaling(args, seed):
     if not args.n_list:
         raise ValueError("need at least one --N")
-    rows = [[n, _fmt(_cf_distance(n, args.samples, args.u_grid,
-                                  _rng(seed, i)))]
+    u_grid = _parse_grid(args.u_grid)
+    rows = [[n, _fmt(_cf_distance(n, args.samples, u_grid, _rng(seed, i)))]
             for i, n in enumerate(args.n_list)]
     return "csv", ["N", "cf_distance"], rows
 
@@ -300,8 +300,9 @@ def _run_sweep(args, seed):
     else:
         cells = [(n, None) for n in args.n_list]
         header = ["N", "cf_distance", "status"]
-    jobs = [(args.task, n, q, args.samples, args.steps, args.u_grid,
-             seed, i) for i, (n, q) in enumerate(cells)]
+    u_grid = _parse_grid(args.u_grid) if args.task == "gumbel" else None
+    jobs = [(args.task, n, q, args.samples, args.steps, u_grid, seed, i)
+            for i, (n, q) in enumerate(cells)]
     if args.workers > 1 and len(jobs) > 1:
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, *zip(*jobs)))

@@ -49,7 +49,9 @@ __all__ = [
 def log_sum_exp(positions: np.ndarray, rate: float = 1.0) -> float:
     """Stable m + ln(sum e^{rate (x_i - m)}) / rate, m = max(x)."""
     m = float(np.max(positions))
-    return m + math.log(np.exp(rate * (positions - m)).sum()) / rate
+    buf = positions - m     # one buffer: no temporary per operation
+    buf *= rate
+    return m + math.log(np.exp(buf, out=buf).sum()) / rate
 
 
 @dataclass(frozen=True)
@@ -95,8 +97,9 @@ class FrontFunctional:
             return positions.min(axis=1)
         if self.kind == "lse":
             m = positions.max(axis=1)
-            s = np.exp(self.param * (positions - m[:, None])).sum(axis=1)
-            return m + np.log(s) / self.param
+            buf = positions - m[:, None]
+            buf *= self.param
+            return m + np.log(np.exp(buf, out=buf).sum(axis=1)) / self.param
         rank = int(self.param)
         if rank > positions.shape[1]:
             raise ValueError(f"rank {rank} exceeds N={positions.shape[1]}")
@@ -187,20 +190,18 @@ _GRID_STEP = 2e-3
 
 
 def step_conditional(state: ParticleState, law: NoiseLaw,
-                     rng: np.random.Generator,
-                     front: FrontFunctional | None = None) -> ParticleState:
+                     rng: np.random.Generator) -> ParticleState:
     """Theta(N log N) step for continuous laws, exact up to O(_GRID_STEP).
 
     Given X(t-1) the new positions are conditionally i.i.d. with log-CDF
     L(x) = sum_j ln F(x - X_j). The sources are binned on a uniform grid, L is
     a convolution of the bin counts with the tabulated noise log-CDF, and the
     draws come from inverse transform on the tabulated L. Discrete laws are
-    rejected (interpolation would smear their atoms).
+    rejected (interpolation would smear their atoms). prev_front is the
+    log-sum-exp of X(t-1) at the law's rate (1 for laws without one).
     """
     if isinstance(law, (LatticeLaw, BernoulliLaw)):
         raise TypeError("step_conditional needs a continuous noise law")
-    if front is None:
-        front = lse_front(getattr(law, "rate", 1.0))
     pos = state.positions
     n = pos.size
     lo, hi = float(pos.min()), float(pos.max())
@@ -246,37 +247,27 @@ def step_conditional(state: ParticleState, law: NoiseLaw,
     lcdf = np.maximum.accumulate(lcdf)  # fft fuzz can break monotonicity
     keep = (lcdf > -60.0) & (lcdf < -1e-14)
     draws = np.interp(np.log(rng.random(n)), lcdf[keep], grid[keep])
-    return ParticleState(positions=draws, t=state.t + 1,
-                         prev_front=front(pos))
+    return ParticleState(positions=draws, t=state.t + 1, prev_front=top)
 
 
 def advance(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
             steps: int, front: FrontFunctional | None = None
             ) -> ParticleState:
-    """Take ``steps`` steps, each with the one-step kernel that fits the law.
+    """Take ``steps`` steps with the kernel :func:`_position_blocks` picks.
 
-    Gumbel noise steps through :func:`step_gumbel_exact`, discrete laws
-    through the full step on block-drawn noise (bit for bit the per-step
-    :func:`step` ladder), other continuous laws through
-    :func:`step_conditional`. ``front`` (default lse at rate 1) sets
-    prev_front for the latter two; the Gumbel step records the log-sum-exp
-    front at the noise rate.
+    prev_front is ``front`` of X(t-1); the default is the log-sum-exp front
+    at the law's rate (1 for laws without one).
     """
+    if steps <= 0:
+        return state
     if front is None:
-        front = lse_front(1.0)
-    if isinstance(law, (BernoulliLaw, LatticeLaw)) and steps > 0:
-        prev = pos = state.positions
-        for block in _position_blocks(law, pos.size, steps, rng, pos):
-            prev = block[-2] if block.shape[0] > 1 else pos
-            pos = block[-1]
-        return ParticleState(positions=pos.copy(), t=state.t + steps,
-                             prev_front=front(prev))
-    for _ in range(steps):
-        if isinstance(law, GumbelLaw):
-            state = step_gumbel_exact(state, law, rng)
-        else:
-            state = step_conditional(state, law, rng, front=front)
-    return state
+        front = lse_front(getattr(law, "rate", 1.0))
+    prev = pos = state.positions
+    for block in _position_blocks(law, pos.size, steps, rng, pos):
+        prev = block[-2] if block.shape[0] > 1 else pos
+        pos = block[-1]
+    return ParticleState(positions=pos.copy(), t=state.t + steps,
+                         prev_front=front(prev))
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +319,13 @@ def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
 # against 5-6 us for the loop, and they were even at N = 14.
 _BLOCK_ELEMENTS = 4_000_000
 _SCAN_MAX_N = 12
+# Gumbel blocks hold at most this many floats (one row at least), as
+# _recip_sums' buffer does: at N = 10^5, t = 3, whole blocks were ~10% slower.
+_GUMBEL_BLOCK_ELEMENTS = 1 << 16
+# Above this N continuous laws other than the Gumbel take step_conditional:
+# sandwiched +-0.3, ms a step full vs conditional, 2.7 vs 5.7 at N = 256,
+# 6.0 vs 5.7 at 384, 8.1 vs 4.3 at 512 (same box)
+_FULL_MAX_N = 384
 
 
 def _chunk_length(n: int, b: int) -> int:
@@ -415,21 +413,28 @@ def _position_blocks(law: NoiseLaw, n: int, steps: int,
                      rng: np.random.Generator, positions: np.ndarray):
     """Yield (b, n) blocks of the positions after each of ``steps`` steps.
 
-    Gumbel noise takes the exact kernel: given X(t-1) the new positions are
-    Phi(X(t-1)) + G_t with G_t fresh i.i.d. draws of the law and Phi the
-    log-sum-exp at the noise rate, so Phi_t = Phi_{t-1} + Phi(G_t) and a
-    whole block follows from one cumsum. Every other law takes the full
-    O(N^2) step through :func:`_full_steps`.
+    The one place a step kernel is chosen. Gumbel noise takes the exact
+    kernel: given X(t-1) the new positions are Phi(X(t-1)) + G_t, G_t fresh
+    i.i.d. draws and Phi the log-sum-exp at the noise rate. A block starts
+    from Phi of the last positions and goes on by one cumsum, as Phi_t =
+    Phi_{t-1} + Phi(G_t); one-row blocks are the :func:`step_gumbel_exact`
+    ladder. Integer laws, and other laws at N <= _FULL_MAX_N, take the full
+    O(N^2) step (:func:`_full_steps`); other laws :func:`step_conditional`.
     """
     if isinstance(law, GumbelLaw):
         lse = lse_front(law.rate)
-        phi = log_sum_exp(positions, law.rate)
-        block = max(1, min(steps, _BLOCK_ELEMENTS // n))
+        block = max(1, min(steps, _GUMBEL_BLOCK_ELEMENTS // n))
         for fresh in _noise_blocks(law, (n,), steps, block, rng):
-            phis = phi + np.cumsum(lse.rows(fresh))
-            fresh += np.concatenate(([phi], phis[:-1]))[:, None]
-            phi = phis[-1]
+            offsets = np.concatenate(([0.0], np.cumsum(lse.rows(fresh[:-1]))))
+            fresh += log_sum_exp(positions, law.rate) + offsets[:, None]
+            positions = fresh[-1]
             yield fresh
+        return
+    if n > _FULL_MAX_N and not isinstance(law, (BernoulliLaw, LatticeLaw)):
+        state = ParticleState(positions)
+        for _ in range(steps):
+            state = step_conditional(state, law, rng)
+            yield state.positions[None]
         return
     for noise in _noise_blocks(law, (n, n), steps, _full_block(n, steps),
                                rng):
@@ -455,9 +460,8 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                    n_batches: int = 32, positions=None) -> SpeedEstimate:
     """Batch-means speed estimate over a single long run.
 
-    The run is exact in law: Gumbel noise takes the O(N) exact kernel,
-    every other law the full O(N^2) step on block-drawn noise, as a chunked
-    max-plus scan at N <= 12 (:func:`_full_steps`). Burn-in defaults to
+    The run steps through the kernels :func:`_position_blocks` picks, exact
+    in law except for the conditional step's grid. Burn-in defaults to
     :func:`default_burn_in`. The run is cut into ``n_batches`` equal batches
     of front increments; the reported sigma2 is the batch-means estimate of
     the per-step CLT variance and std_err is the usual batch-means standard
@@ -470,8 +474,7 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     _check_batches(n_batches, t_run)
     if t_burn is None:
         t_burn = default_burn_in(n)
-    state = initial_state(n, positions)
-    pos = state.positions
+    pos = initial_state(n, positions).positions
     if t_burn:
         _, pos = _run_fronts(law, n, t_burn, rng, front, pos)
     f0 = front(pos)
@@ -501,8 +504,7 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         rng = np.random.default_rng()
     if n_renewals < 10:
         raise ValueError("need at least 10 renewal blocks")
-    state = initial_state(n, positions)
-    pos = state.positions
+    pos = initial_state(n, positions).positions
 
     marks, mark_steps = [], []     # front and step count at each renewal
     found = 0
@@ -541,9 +543,7 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
                    positions=None) -> np.ndarray:
     """Dynamics for t steps; rows (t, phi, max, min, gap) incl. t=0.
 
-    Exact in law: Gumbel noise runs the O(N) exact kernel, every other law
-    the full O(N^2) step on block-drawn noise, as a chunked max-plus scan at
-    N <= 12 (:func:`_full_steps`).
+    The run steps through the kernels :func:`_position_blocks` picks.
     """
     if rng is None:
         rng = np.random.default_rng()

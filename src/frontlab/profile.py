@@ -148,9 +148,8 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
     X_j(t) - Phi(X(t-1)) for the first k particles, and reports the
     per-coordinate Kolmogorov distance to Gumbel(target_loc, 1/target_rate)
     plus the largest pairwise sample correlation. Each replica steps through
-    :func:`engine.advance`: the exact one-step law for Gumbel noise, the
-    conditional sampler for other continuous laws, and the direct O(N^2)
-    recursion for discrete laws.
+    :func:`engine.advance`, with the kernel :func:`engine._position_blocks`
+    picks for the law and N.
     """
     if t < 2:
         raise ValueError("need t >= 2")

@@ -198,8 +198,7 @@ def test_c10_profile_converges_to_wave():
     for n in (1000, 10_000, 100_000):
         state = initial_state(n)
         for _ in range(3):
-            state = engine.step_conditional(state, law, rng,
-                                            front=lse_front(1.0))
+            state = engine.step_conditional(state, law, rng)
         kss.append(profile.centered_ks(state))
     print(f"[c10] sandwiched ks ladder {[f'{k:.4f}' for k in kss]} "
           f"(decreasing, last<=0.05)")

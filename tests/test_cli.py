@@ -392,6 +392,19 @@ def test_bad_grid_exits_2(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["gumbel", "--N", "10", "--samples", "100"],
+    ["scaling", "--N", "10", "--N", "20"],
+    ["sweep", "--task", "gumbel", "--N", "10", "--N", "20", "--workers", "1"],
+])
+def test_bad_u_grid_exits_2(argv, capsys):
+    # the grid is parsed once per command, so a sweep has no cell to fail
+    code, out, err = run(argv + ["--u-grid=2:-2:0.5"], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("frontlab: bad grid bounds")
+
+
 def test_unwritable_out_exits_3(tmp_path, capsys):
     target = tmp_path / "missing" / "deep" / "x.csv"
     code, _, err = run(["gumbel", "--N", "10", "--samples", "100",

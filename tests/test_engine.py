@@ -498,22 +498,31 @@ def test_front_rows_match_the_scalar_front(front, n, rng):
 
 
 def test_advance_is_the_per_step_ladder():
-    front = lse_front(2.0)
+    # at N = 50 every law but the Gumbel takes the full step, bit for bit
+    # the step ladder. The Gumbel kernel sums the fresh rows' log-sum-exp
+    # fronts by cumsum where the ladder takes the front of each new cloud,
+    # so its positions move by round-off only. prev_front is the front of
+    # X(t-1), which the first t - 1 steps of the same stream give
+    start = initial_state(50)
     for law in (GumbelLaw(rate=1.5), BernoulliLaw(0.3), THREE_ATOM,
                 SandwichedGumbelLaw(-0.3, 0.3)):
-        got = engine.advance(initial_state(50), law, make_rng(41), 3,
-                             front=front)
-        rng = make_rng(41)
-        want = initial_state(50)
-        for _ in range(3):
+        prev = engine.advance(start, law, make_rng(41), 2).positions
+        for front in (lse_front(2.0), None):
+            got = engine.advance(start, law, make_rng(41), 3, front=front)
+            rng, want = make_rng(41), start
+            for _ in range(3):
+                if isinstance(law, GumbelLaw):
+                    want = step_gumbel_exact(want, law, rng)
+                else:
+                    want = step(want, law, rng)
             if isinstance(law, GumbelLaw):
-                want = step_gumbel_exact(want, law, rng)
-            elif isinstance(law, SandwichedGumbelLaw):
-                want = step_conditional(want, law, rng, front=front)
+                np.testing.assert_allclose(got.positions, want.positions,
+                                           rtol=1e-13, atol=0)
             else:
-                want = step(want, law, rng, front=front)
-        np.testing.assert_array_equal(got.positions, want.positions)
-        assert (got.t, got.prev_front) == (want.t, want.prev_front)
+                np.testing.assert_array_equal(got.positions, want.positions)
+            if front is None:
+                front = lse_front(getattr(law, "rate", 1.0))
+            assert (got.t, got.prev_front) == (3, front(prev))
 
 
 def test_advance_discrete_runs_the_scan_bit_for_bit():
@@ -530,6 +539,69 @@ def test_advance_discrete_runs_the_scan_bit_for_bit():
             assert got.t == want.t
             assert (got.prev_front == want.prev_front
                     or math.isnan(got.prev_front) and steps == 0)
+
+
+@pytest.mark.parametrize("law, n, kernel", [
+    (SandwichedGumbelLaw(-0.3, 0.3), 384, step),
+    (SandwichedGumbelLaw(-0.3, 0.3), 385, step_conditional),
+    (GumbelLaw(loc=0.3, rate=1.5), 70_000, step_gumbel_exact),
+])
+def test_position_blocks_is_the_kernel_ladder(law, n, kernel):
+    # continuous laws other than the Gumbel take the full step up to
+    # N = 384 and the conditional step above it; Gumbel blocks of one row
+    # (N > 2^15) are the exact step. Each is its ladder bit for bit
+    start = make_rng(43).normal(size=n)
+    got = np.vstack(list(engine._position_blocks(law, n, 3, make_rng(44),
+                                                 start)))
+    rng, state, want = make_rng(44), initial_state(n, start), []
+    for _ in range(3):
+        state = kernel(state, law, rng)
+        want.append(state.positions)
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("n, steps", [(1, 70_000), (3, 30_000), (1000, 200),
+                                      (1 << 16, 2), ((1 << 16) + 1, 2),
+                                      (100_000, 2)])
+def test_gumbel_blocks_hold_at_most_2_16_floats(n, steps):
+    blocks = list(engine._position_blocks(GumbelLaw(), n, steps,
+                                          make_rng(45), np.zeros(n)))
+    assert sum(b.shape[0] for b in blocks) == steps
+    for b in blocks:
+        assert b.shape[0] >= 1 and b.size <= max(n, 1 << 16)
+        assert b.shape[0] == min(steps, max(1, (1 << 16) // n)) \
+            or b is blocks[-1]
+
+
+def test_gumbel_blocks_join_like_one_block(monkeypatch):
+    # a block starts from the log-sum-exp of the last positions, where one
+    # block goes on with the cumsum of the fresh rows' fronts
+    law, n, steps = GumbelLaw(loc=0.3, rate=1.5), 1000, 300
+    start = make_rng(46).normal(size=n)
+    cut = list(engine._position_blocks(law, n, steps, make_rng(47), start))
+    monkeypatch.setattr(engine, "_GUMBEL_BLOCK_ELEMENTS", n * steps)
+    whole = list(engine._position_blocks(law, n, steps, make_rng(47), start))
+    assert len(cut) == 5 and len(whole) == 1
+    np.testing.assert_allclose(np.vstack(cut), whole[0], rtol=1e-13, atol=0)
+
+
+def test_conditional_step_fronts_match_the_full_step_at_n256():
+    """Two-sample KS of lse front increments, conditional against full step.
+
+    Above N = 384 ``estimate_speed`` and ``run_trajectory`` run continuous
+    laws other than the Gumbel through ``step_conditional``, so their
+    speeds are exact only up to its 2e-3 grid. This pins the conditional
+    kernel's front increments to the full step's at N = 256, where the full
+    step is cheap enough to serve as the reference (200 steps each).
+    """
+    law, n, t = SandwichedGumbelLaw(-0.3, 0.3), 256, 200
+    full = run_trajectory(law, n, t, make_rng(48), front=lse_front(1.0))
+    rng, state, cond = make_rng(49), initial_state(n), []
+    for _ in range(t + 1):
+        state = step_conditional(state, law, rng)
+        cond.append(state.prev_front)    # lse(1) of X(0), ..., X(t)
+    p = stats.ks_2samp(np.diff(full[10:, 1]), np.diff(cond[10:])).pvalue
+    assert p > 1e-3, p
 
 
 # ---------------------------------------------------------------------------
