@@ -19,11 +19,9 @@ import math
 import os
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
 import numpy as np
-from scipy.special import kolmogorov
 
 from . import __version__, engine, gumbel_exact, profile, zchain
 from .noise import GumbelLaw, LatticeLaw, from_json, to_json
@@ -249,6 +247,8 @@ def _run_profile(args, seed):
 
     state = engine.advance(engine.initial_state(args.n), law, rng, args.t)
     if args.test == "ks":
+        from scipy.special import kolmogorov
+
         ks = profile.centered_ks(state, rate=rate, loc=loc)
         p_value = float(kolmogorov(ks * math.sqrt(args.n)))
         return "json", {"test": "ks", "N": args.n, "t": args.t, "ks": ks,
@@ -304,6 +304,12 @@ def _run_sweep(args, seed):
     jobs = [(args.task, n, q, args.samples, args.steps, u_grid, seed, i)
             for i, (n, q) in enumerate(cells)]
     if args.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
+        if args.task == "gumbel":
+            # forked workers inherit scipy and the cached C from the parent
+            # instead of each importing it
+            gumbel_exact.constant_C()
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, *zip(*jobs)))
     else:

@@ -15,8 +15,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import exp1
 
 from .noise import _exponential_from_uniform
 
@@ -58,6 +56,10 @@ def _check_n(n_particles: int) -> int:
 # elements per block of _recip_sums: 2^16 float64s, 512 KiB, stay in cache
 # through the in-place passes
 _RECIP_BLOCK = 1 << 16
+# rows of at most this many elements are summed column by column: numpy's
+# row sum pays a per-row cost, and up to 7 elements it adds left to right, as
+# the columns do, so the sums are the same bits
+_COLUMN_SUM_MAX = 7
 
 
 def _recip_sums(n_particles: int, n_samples: int,
@@ -69,7 +71,8 @@ def _recip_sums(n_particles: int, n_samples: int,
     one reused buffer of whole rows, at least one row and about
     ``_RECIP_BLOCK`` elements, which is transformed in place and summed row
     by row in float64. Block draws concatenate, so the sums do not depend on
-    the block length.
+    the block length. Short rows are summed column by column, bit for bit
+    as by row.
     """
     rows = max(1, _RECIP_BLOCK // n_particles)
     buf = np.empty((min(rows, n_samples), n_particles))
@@ -78,7 +81,13 @@ def _recip_sums(n_particles: int, n_samples: int,
         x = buf[:min(rows, n_samples - i)]
         rng.random(out=x)
         np.reciprocal(_exponential_from_uniform(x), out=x)
-        x.sum(axis=1, out=out[i:i + x.shape[0]])
+        s = out[i:i + x.shape[0]]
+        if n_particles <= _COLUMN_SUM_MAX:
+            s[:] = x[:, 0]
+            for j in range(1, n_particles):
+                s += x[:, j]
+        else:
+            x.sum(axis=1, out=s)
     return out
 
 
@@ -135,6 +144,8 @@ def v_sigma_mc(n_particles: int, n_samples: int, rng: np.random.Generator,
 
 def b_of_N(n_particles: int) -> float:
     """Centering b_N = N E1(1/N) = N integral_{1/N}^inf e^-y / y dy."""
+    from scipy.special import exp1
+
     n_particles = _check_n(n_particles)
     return float(n_particles * exp1(1.0 / n_particles))
 
@@ -176,6 +187,8 @@ def constant_C() -> float:
     i.e. the sine integrals below. Evaluates to 0.42278... (numerically
     1 - gamma); computed, never hardcoded.
     """
+    from scipy.integrate import quad
+
     tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=1.0,
                    epsabs=_QUAD_TOL)
     head, _ = quad(lambda x: (math.sin(x) - x) / x ** 2, 0.0, 1.0,
@@ -218,6 +231,8 @@ def psi_from_levy(u: float) -> complex:
     Imag part: integral of sin(ux) x^-2 over [1, inf) plus
     (sin(ux) - ux) x^-2 over (0, 1]. Oracle route for tests; scalar u.
     """
+    from scipy.integrate import quad
+
     u = float(u)
     if u == 0.0:
         return 0.0 + 0.0j

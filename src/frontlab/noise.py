@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import exp1
 
 __all__ = [
     "NoiseLaw",
@@ -232,6 +231,8 @@ class SandwichedGumbelLaw(NoiseLaw):
         return self.lo + (self.hi - self.lo) * u[..., 1] - np.log(e)
 
     def log_cdf(self, x):
+        from scipy.special import exp1
+
         x = np.asarray(x, dtype=float)
         if self._is_point():
             return -np.exp(-(x - 0.5 * (self.lo + self.hi)))

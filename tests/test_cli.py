@@ -304,6 +304,16 @@ def test_sweep_gumbel_task(capsys):
     assert float(rows[1][1]) < float(rows[0][1])
 
 
+def test_sweep_gumbel_workers_do_not_change_output(capsys):
+    # with two workers the parent loads scipy before the pool forks
+    argv = ["sweep", "--task", "gumbel", "--N", "10", "--N", "20"]
+    code, serial, _ = run(argv + ["--workers", "1"], capsys)
+    assert code == 0
+    code, parallel, _ = run(argv + ["--workers", "2"], capsys)
+    assert code == 0
+    assert parallel == serial
+
+
 # ---------------------------------------------------------------------------
 # files, manifests, seeds
 
