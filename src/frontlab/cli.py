@@ -308,7 +308,8 @@ def _run_sweep(args, seed):
 
         if args.task == "gumbel":
             # forked workers inherit scipy and the cached C from the parent
-            # instead of each importing it
+            # instead of each importing it; under the spawn and forkserver
+            # start methods each worker still imports scipy itself
             gumbel_exact.constant_C()
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, *zip(*jobs)))

@@ -56,10 +56,6 @@ def _check_n(n_particles: int) -> int:
 # elements per block of _recip_sums: 2^16 float64s, 512 KiB, stay in cache
 # through the in-place passes
 _RECIP_BLOCK = 1 << 16
-# rows of at most this many elements are summed column by column: numpy's
-# row sum pays a per-row cost, and up to 7 elements it adds left to right, as
-# the columns do, so the sums are the same bits
-_COLUMN_SUM_MAX = 7
 
 
 def _recip_sums(n_particles: int, n_samples: int,
@@ -71,8 +67,7 @@ def _recip_sums(n_particles: int, n_samples: int,
     one reused buffer of whole rows, at least one row and about
     ``_RECIP_BLOCK`` elements, which is transformed in place and summed row
     by row in float64. Block draws concatenate, so the sums do not depend on
-    the block length. Short rows are summed column by column, bit for bit
-    as by row.
+    the block length.
     """
     rows = max(1, _RECIP_BLOCK // n_particles)
     buf = np.empty((min(rows, n_samples), n_particles))
@@ -81,13 +76,7 @@ def _recip_sums(n_particles: int, n_samples: int,
         x = buf[:min(rows, n_samples - i)]
         rng.random(out=x)
         np.reciprocal(_exponential_from_uniform(x), out=x)
-        s = out[i:i + x.shape[0]]
-        if n_particles <= _COLUMN_SUM_MAX:
-            s[:] = x[:, 0]
-            for j in range(1, n_particles):
-                s += x[:, j]
-        else:
-            x.sum(axis=1, out=s)
+        x.sum(axis=1, out=out[i:i + x.shape[0]])
     return out
 
 

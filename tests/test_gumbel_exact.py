@@ -5,7 +5,6 @@ import pytest
 from scipy import integrate, stats
 
 from frontlab import gumbel_exact as gx
-from frontlab.noise import _exponential_from_uniform
 
 from conftest import ZeroUniforms, make_rng
 
@@ -74,21 +73,12 @@ def test_v_sigma_mc_validation():
         gx.upsilon_samples(0, 10, make_rng(0))
 
 
-@pytest.mark.parametrize("n", [1, 2, 7, 8, 10_000])
+@pytest.mark.parametrize("n", [1, 7, 10_000])
 def test_recip_sums_do_not_depend_on_block_length(n, monkeypatch):
     m = max(1, gx._RECIP_BLOCK // n) + 3  # one full default block, then 3
     full = gx._recip_sums(n, m, make_rng(4))
     monkeypatch.setattr(gx, "_RECIP_BLOCK", 1)
     np.testing.assert_array_equal(gx._recip_sums(n, m, make_rng(4)), full)
-
-
-@pytest.mark.parametrize("n", range(1, gx._COLUMN_SUM_MAX + 1))
-def test_recip_sums_columns_equal_row_sums(n):
-    # short rows are added column by column, bit for bit numpy's row sum
-    m = gx._RECIP_BLOCK // n + 5
-    u = make_rng(6).random((m, n))
-    want = np.reciprocal(_exponential_from_uniform(u)).sum(axis=1)
-    np.testing.assert_array_equal(gx._recip_sums(n, m, make_rng(6)), want)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
