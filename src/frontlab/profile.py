@@ -263,8 +263,11 @@ def fluctuation_experiment(n_list, t: int, x: float,
              + math.log(n) / law.rate)
         stat = np.empty(replicas)
         for r in range(replicas):
-            state = engine.advance(initial_state(n), law, rng, t)
-            stat[r] = math.log(n) * (np.mean(state.positions > y) - u_x)
+            # only X(t) is read: skip advance's front of X(t-1) and its copy
+            for block in engine._position_blocks(
+                    law, n, t, rng, initial_state(n).positions):
+                last = block[-1]
+            stat[r] = math.log(n) * (np.mean(last > y) - u_x)
         stat_q[row] = np.quantile(stat, levels)
 
     if t > 1:

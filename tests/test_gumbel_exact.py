@@ -1,4 +1,6 @@
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -84,8 +86,119 @@ def test_recip_sums_do_not_depend_on_block_length(n, monkeypatch):
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_recip_sums_zero_uniform_is_finite():
     # u = 0 is read as the middle of its cell: E = 2^-54, 1/E = 2^54
-    np.testing.assert_array_equal(gx._recip_sums(1, 3, ZeroUniforms()),
-                                  np.full(3, 2.0 ** 54))
+    for n, m in [(1, 3), (10_000, 13)]:  # one block, then three
+        np.testing.assert_array_equal(gx._recip_sums(n, m, ZeroUniforms()),
+                                      np.full(m, n * 2.0 ** 54))
+
+
+def serial_recip_sums(n, m, rng):
+    """One thread, blocks of whole rows drawn and summed in turn."""
+    rows = max(1, gx._RECIP_BLOCK // n)
+    buf = np.empty((min(rows, m), n))
+    out = np.empty(m)
+    for i in range(0, m, rows):
+        x = buf[:min(rows, m - i)]
+        rng.random(out=x)
+        x = np.maximum(-np.log1p(-x), 2.0 ** -54)
+        np.reciprocal(x, out=x)
+        x.sum(axis=1, out=out[i:i + x.shape[0]])
+    return out
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("n", [1, 2, 7, 10_000, (1 << 16) + 1])
+@pytest.mark.parametrize("extra", [-1, 0, 1, None],
+                         ids=["below", "one", "above", "blocks"])
+def test_recip_sums_match_serial_loop(n, extra, cpus, monkeypatch):
+    rows = max(1, gx._RECIP_BLOCK // n)
+    m = 3 * rows + 2 if extra is None else rows + extra
+    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    rng, ref_rng = make_rng(11), make_rng(11)
+    np.testing.assert_array_equal(gx._recip_sums(n, m, rng),
+                                  serial_recip_sums(n, m, ref_rng))
+    assert rng.random() == ref_rng.random()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus, m, started", [(2, 6, 0), (2, 7, 1),
+                                              (1, 7, 0)])
+def test_recip_sums_second_worker(cpus, m, started, monkeypatch):
+    # a helper thread only for two blocks or more (6 rows a block at 10^4)
+    # on two CPUs or more
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
+    monkeypatch.setattr(gx.threading, "Thread", Counted)
+    gx._recip_sums(10_000, m, make_rng(12))
+    assert len(starts) == started
+    assert not any(t.is_alive() for t in starts)
+
+
+def test_recip_sums_under_thread_stress(monkeypatch):
+    # four concurrent calls, each with a helper thread, on 16-element blocks
+    # and a short switch interval: a draw out of block order or a lost
+    # write to out would change some row
+    monkeypatch.setattr(gx, "_cpus", lambda: 2)
+    monkeypatch.setattr(gx, "_RECIP_BLOCK", 16)
+    expected = [serial_recip_sums(7, 500, make_rng(s)) for s in range(4)]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = gx._recip_sums(7, 500, make_rng(s))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(s,), daemon=True)
+                   for s in range(4)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g, e)
+
+
+class FailingUniforms:
+    """Generator stub that raises on its ``fail_at``-th random call."""
+
+    def __init__(self, fail_at):
+        self.rng, self.calls, self.fail_at = make_rng(13), 0, fail_at
+
+    def random(self, size=None, out=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise MemoryError("planted")
+        return self.rng.random(size, out=out)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_recip_sums_error_propagates(cpus, monkeypatch):
+    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    raised = []
+
+    def call():
+        try:
+            gx._recip_sums(10_000, 60, FailingUniforms(3))
+        except MemoryError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "_recip_sums hung after a failed draw"
+    assert [str(e) for e in raised] == ["planted"]
+    assert threading.active_count() == threads
 
 
 # ---------------------------------------------------------------------------

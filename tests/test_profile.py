@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import engine, profile
+from frontlab import engine, gumbel_exact, profile
 from frontlab.engine import initial_state
 from frontlab.noise import BernoulliLaw, GumbelLaw, LatticeLaw, SandwichedGumbelLaw
 from frontlab.profile import (
@@ -265,6 +265,32 @@ def test_fluctuation_median_approaches_reference():
     med = rep.stat_quantiles[:, 4]
     ref = rep.ref_quantiles[4]
     assert abs(med[1] - ref) < abs(med[0] - ref)
+
+
+def advance_stat_quantiles(n_list, t, x, rng, replicas, levels):
+    """The statistic's quantiles through engine.advance, one replica a call."""
+    law = GumbelLaw()
+    u_x = float(gumbel_wave(x))
+    out = []
+    for n in n_list:
+        y = (x + (t - 1) * math.log(gumbel_exact.b_of_N(n))
+             + math.log(n))
+        stat = [math.log(n)
+                * (np.mean(engine.advance(initial_state(n), law, rng,
+                                          t).positions > y) - u_x)
+                for _ in range(replicas)]
+        out.append(np.quantile(stat, levels))
+    return np.array(out)
+
+
+def test_fluctuation_stat_matches_advance():
+    # N = 50 steps in two-row blocks, N = 70 000 in one-row blocks
+    rep = fluctuation_experiment([50, 70_000], 3, 0.2, make_rng(83),
+                                 replicas=6, ref_size=100, ref_draws=10)
+    np.testing.assert_array_equal(
+        rep.stat_quantiles,
+        advance_stat_quantiles([50, 70_000], 3, 0.2, make_rng(83), 6,
+                               rep.levels))
 
 
 def test_fluctuation_validation():
