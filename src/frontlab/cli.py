@@ -19,7 +19,6 @@ import math
 import os
 import sys
 import tempfile
-from fractions import Fraction
 
 import numpy as np
 
@@ -37,7 +36,7 @@ _FRONTS = {
     "max": lambda p: engine.MAX_FRONT,
     "min": lambda p: engine.MIN_FRONT,
     "lse": lambda p: engine.lse_front(p if p is not None else 1.0),
-    "order": lambda p: engine.order_front(int(p) if p is not None else 1),
+    "order": lambda p: engine.order_front(p if p is not None else 1),
 }
 
 
@@ -147,7 +146,7 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
     """
     exact = mode == "precise"
     if dist == "bernoulli":
-        qv = zchain.parse_q(Fraction(q) if exact else q, exact)
+        qv = zchain.parse_q(q, exact)
         gap = zchain._bernoulli_gap(n, qv, exact=exact)
         v_exact = 1 - gap
         sim = zchain.bernoulli_chain_sim(n, float(qv), steps, rng)
@@ -182,8 +181,7 @@ def _run_zchain(args, seed):
     if args.report == "hitting":
         if args.dist != "bernoulli":
             raise ValueError("hitting report is for the Bernoulli chain")
-        q = Fraction(args.q) if exact else float(Fraction(args.q))
-        rep = zchain.hitting_analysis(args.n, q, exact=exact)
+        rep = zchain.hitting_analysis(args.n, args.q, exact=exact)
         obj = {k: getattr(rep, k) for k in rep.__dataclass_fields__}
         obj["seed"] = seed
         if args.emit == "csv":

@@ -70,20 +70,16 @@ class FrontFunctional:
             raise ValueError(f"unknown front functional {self.kind!r}")
         if self.kind == "lse" and not (self.param and self.param > 0):
             raise ValueError("lse front needs a positive rate")
-        if self.kind == "order" and (self.param is None or int(self.param) < 1):
-            raise ValueError("order front needs a rank >= 1")
+        if self.kind == "order" and not (
+                self.param is not None and float(self.param).is_integer()
+                and self.param >= 1):
+            raise ValueError(f"order front needs an integer rank >= 1, got "
+                             f"{self.param!r}")
 
     def __call__(self, positions: np.ndarray) -> float:
-        if self.kind == "max":
-            return float(np.max(positions))
-        if self.kind == "min":
-            return float(np.min(positions))
         if self.kind == "lse":
             return log_sum_exp(positions, self.param)
-        rank = int(self.param)
-        if rank > positions.size:
-            raise ValueError(f"rank {rank} exceeds N={positions.size}")
-        return float(np.partition(positions, -rank)[-rank])
+        return float(self.rows(positions[None])[0])
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
         """The front of each row of a (T, N) block of configurations.
@@ -105,13 +101,6 @@ class FrontFunctional:
             raise ValueError(f"rank {rank} exceeds N={positions.shape[1]}")
         return np.partition(positions, -rank, axis=1)[:, -rank]
 
-    def label(self) -> str:
-        if self.kind == "lse":
-            return f"lse({self.param:g})"
-        if self.kind == "order":
-            return f"order({int(self.param)})"
-        return self.kind
-
 
 MAX_FRONT = FrontFunctional("max")
 MIN_FRONT = FrontFunctional("min")
@@ -122,7 +111,7 @@ def lse_front(rate: float = 1.0) -> FrontFunctional:
 
 
 def order_front(rank: int) -> FrontFunctional:
-    return FrontFunctional("order", int(rank))
+    return FrontFunctional("order", rank)
 
 
 @dataclass(frozen=True)
@@ -263,7 +252,7 @@ def advance(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
     if front is None:
         front = lse_front(getattr(law, "rate", 1.0))
     prev = pos = state.positions
-    for block in _position_blocks(law, pos.size, steps, rng, pos):
+    for block in _position_blocks(law, steps, rng, pos):
         prev = block[-2] if block.shape[0] > 1 else pos
         pos = block[-1]
     return ParticleState(positions=pos.copy(), t=state.t + steps,
@@ -326,6 +315,8 @@ _GUMBEL_BLOCK_ELEMENTS = 1 << 16
 # sandwiched +-0.3, ms a step full vs conditional, 2.7 vs 5.7 at N = 256,
 # 6.0 vs 5.7 at 384, 8.1 vs 4.3 at 512 (same box)
 _FULL_MAX_N = 384
+# renewal_speed gives up after this many steps
+_STEP_BUDGET = 10_000_000
 
 
 def _chunk_length(n: int, b: int) -> int:
@@ -409,9 +400,9 @@ def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out
 
 
-def _position_blocks(law: NoiseLaw, n: int, steps: int,
-                     rng: np.random.Generator, positions: np.ndarray):
-    """Yield (b, n) blocks of the positions after each of ``steps`` steps.
+def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
+                     positions: np.ndarray):
+    """Yield (b, N) blocks of the positions after each of ``steps`` steps.
 
     The one place a step kernel is chosen. Gumbel noise takes the exact
     kernel: given X(t-1) the new positions are Phi(X(t-1)) + G_t, G_t fresh
@@ -421,6 +412,7 @@ def _position_blocks(law: NoiseLaw, n: int, steps: int,
     ladder. Integer laws, and other laws at N <= _FULL_MAX_N, take the full
     O(N^2) step (:func:`_full_steps`); other laws :func:`step_conditional`.
     """
+    n = positions.size
     if isinstance(law, GumbelLaw):
         lse = lse_front(law.rate)
         block = max(1, min(steps, _GUMBEL_BLOCK_ELEMENTS // n))
@@ -443,11 +435,11 @@ def _position_blocks(law: NoiseLaw, n: int, steps: int,
         yield block
 
 
-def _run_fronts(law, n, steps, rng, front, positions):
+def _run_fronts(law, steps, rng, front, positions):
     """Run ``steps`` steps, returning the front value after each."""
     fronts = np.empty(steps)
     i = 0
-    for block in _position_blocks(law, n, steps, rng, positions):
+    for block in _position_blocks(law, steps, rng, positions):
         fronts[i:i + block.shape[0]] = front.rows(block)
         i += block.shape[0]
         positions = block[-1].copy()  # do not pin the whole block
@@ -476,16 +468,15 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         t_burn = default_burn_in(n)
     pos = initial_state(n, positions).positions
     if t_burn:
-        _, pos = _run_fronts(law, n, t_burn, rng, front, pos)
+        _, pos = _run_fronts(law, t_burn, rng, front, pos)
     f0 = front(pos)
-    fronts, _ = _run_fronts(law, n, t_run, rng, front, pos)
+    fronts, _ = _run_fronts(law, t_run, rng, front, pos)
     return batch_means(np.concatenate(([f0], fronts)), n_batches)
 
 
 def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                   n_renewals: int = 200,
                   rng: np.random.Generator | None = None,
-                  step_budget: int = 10_000_000,
                   positions=None) -> SpeedEstimate:
     """Regenerative speed estimate from renewal blocks.
 
@@ -497,7 +488,7 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     each, at least 64) and capped by the remaining budget and the block
     bound; a block's positions come from the chunked full step, its
     renewals are screened at once, and fronts are taken only at renewal
-    steps. Aborts once ``step_budget`` steps pass without collecting
+    steps. Aborts once ``_STEP_BUDGET`` steps pass without collecting
     ``n_renewals`` blocks (the waiting time can be as bad as N^N).
     """
     if rng is None:
@@ -510,12 +501,12 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     found = 0
     steps = 0
     while found <= n_renewals:
-        if steps >= step_budget:
+        if steps >= _STEP_BUDGET:
             raise RuntimeError(
                 f"renewal budget exhausted: {max(found - 1, 0)} blocks in "
                 f"{steps} steps (worst-case expected wait is N^N = {n ** n})")
         wait = max(64, (n_renewals + 1 - found) * n ** n)
-        b = min(step_budget - steps, _full_block(n, wait))
+        b = min(_STEP_BUDGET - steps, _full_block(n, wait))
         noise = law.sample(rng, (b, n, n))
         block = _full_steps(pos, noise)
         leaders = np.vstack((pos, block[:-1])).argmax(axis=1)
@@ -551,7 +542,7 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
     rows = np.empty((t + 1, 5))
     rows[0] = (0, front(pos), pos.max(), pos.min(), pos.max() - pos.min())
     i = 1
-    for block in _position_blocks(law, n, t, rng, pos):
+    for block in _position_blocks(law, t, rng, pos):
         hi, lo = block.max(axis=1), block.min(axis=1)
         rows[i:i + block.shape[0]] = np.column_stack(
             (np.arange(i, i + block.shape[0]), front.rows(block), hi, lo,

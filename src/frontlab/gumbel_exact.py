@@ -31,21 +31,18 @@ __all__ = [
     "constant_C",
     "StableExponent",
     "stable_exponent",
-    "psi_from_levy",
     "ScalingParams",
     "scaling_params",
     "normalized_increment_samples",
     "s_hat_samples",
     "empirical_cf",
     "cf_distance",
-    "stable_reference_samples",
     "speeded_front_samples",
 ]
 
 _EULER_GAMMA = float(np.euler_gamma)
-# absolute (and relative) quadrature tolerances of C and of the Levy oracle
+# absolute (and relative) quadrature tolerance of C
 _QUAD_TOL = 1e-12
-_LEVY_TOL = 1e-10
 
 
 def _check_n(n_particles: int) -> int:
@@ -119,17 +116,12 @@ def _recip_sums(n_particles: int, n_samples: int,
     return out
 
 
-def _log_recip_sums(n_particles: int, n_samples: int,
-                    rng: np.random.Generator) -> np.ndarray:
-    return np.log(_recip_sums(n_particles, n_samples, rng))
-
-
 def upsilon_samples(n_particles: int, n_samples: int,
                     rng: np.random.Generator, loc: float = 0.0,
                     rate: float = 1.0) -> np.ndarray:
     """i.i.d. front increments loc + rate^-1 ln(sum 1/E_i)."""
     n_particles = _check_n(n_particles)
-    return loc + _log_recip_sums(n_particles, n_samples, rng) / rate
+    return loc + np.log(_recip_sums(n_particles, n_samples, rng)) / rate
 
 
 def _jackknife_se_of_variance(x: np.ndarray) -> float:
@@ -252,32 +244,6 @@ def stable_exponent() -> StableExponent:
     return StableExponent(C=constant_C())
 
 
-def psi_from_levy(u: float) -> complex:
-    """Direct quadrature of the Levy-measure integrals defining psi_C.
-
-    Real part: integral of (cos(ux) - 1) x^-2 over (0, inf).
-    Imag part: integral of sin(ux) x^-2 over [1, inf) plus
-    (sin(ux) - ux) x^-2 over (0, 1]. Oracle route for tests; scalar u.
-    """
-    from scipy.integrate import quad
-
-    u = float(u)
-    if u == 0.0:
-        return 0.0 + 0.0j
-    s = math.copysign(1.0, u)
-    w = abs(u)
-    re_tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="cos", wvar=w,
-                      epsabs=_LEVY_TOL)
-    re_head, _ = quad(lambda x: (math.cos(w * x) - 1.0) / x ** 2, 0.0, 1.0,
-                      epsabs=_LEVY_TOL, epsrel=_LEVY_TOL)
-    im_tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=w,
-                      epsabs=_LEVY_TOL)
-    im_head, _ = quad(lambda x: (math.sin(w * x) - w * x) / x ** 2, 0.0, 1.0,
-                      epsabs=_LEVY_TOL, epsrel=_LEVY_TOL)
-    val = complex(re_tail - 1.0 + re_head, im_tail + im_head)
-    return val if s > 0 else val.conjugate()
-
-
 # ---------------------------------------------------------------------------
 # scaling constants and normalized increments
 
@@ -295,12 +261,6 @@ class ScalingParams:
     rate: float
     shift: float
 
-    def beta(self, m: float) -> float:
-        """Speed-up centering ln b_N + (N / b_N) ln m."""
-        if m <= 0:
-            raise ValueError("m must be positive")
-        return math.log(self.b) + self.rate * math.log(m)
-
 
 def scaling_params(n_particles: int) -> ScalingParams:
     n_particles = _check_n(n_particles)
@@ -316,7 +276,7 @@ def normalized_increment_samples(n_particles: int, n_samples: int,
     """Samples of (b_N/N)(ln sum 1/E_i - ln b_N) - C, approaching the
     centered stable law exp(psi_0)."""
     p = scaling_params(n_particles)
-    logs = _log_recip_sums(p.n, n_samples, rng)
+    logs = np.log(_recip_sums(p.n, n_samples, rng))
     return (logs - math.log(p.b)) / p.rate - constant_C()
 
 
@@ -346,23 +306,6 @@ def cf_distance(samples: np.ndarray, u_grid) -> float:
     u = np.asarray(u_grid, dtype=float)
     target = np.exp(_psi_zero(u))
     return float(np.abs(empirical_cf(samples, u) - target).max())
-
-
-def stable_reference_samples(n_samples: int,
-                             rng: np.random.Generator) -> np.ndarray:
-    """Exact draws from the centered limit law exp(psi_0).
-
-    Chambers-Mallows-Stuck at index 1, skewness 1, scale pi/2: the scaled
-    variable is (pi/2) X + ln(pi/2) with
-    X = (2/pi)[(pi/2 + phi) tan(phi) - ln((pi/2) W cos(phi) / (pi/2 + phi))].
-    """
-    half_pi = 0.5 * math.pi
-    phi = rng.uniform(-half_pi, half_pi, n_samples)
-    w = rng.standard_exponential(n_samples)
-    x = (2.0 / math.pi) * (
-        (half_pi + phi) * np.tan(phi)
-        - np.log(half_pi * w * np.cos(phi) / (half_pi + phi)))
-    return half_pi * x + math.log(half_pi)
 
 
 def speeded_front_samples(n_particles: int, m: int, tau_grid,

@@ -120,8 +120,7 @@ class LatticeLaw(NoiseLaw):
     """Integer-valued jump law with finite support and top atom at ``top``.
 
     ``atoms`` maps value -> probability, values <= top, probabilities summing
-    to 1. Laws with infinite left tails are represented by an explicit head
-    plus one aggregated bottom atom (see :meth:`from_pmf`).
+    to 1.
     """
 
     top: int
@@ -147,19 +146,6 @@ class LatticeLaw(NoiseLaw):
         cum[-1] = 1.0
         object.__setattr__(self, "_cum", cum)
 
-    @classmethod
-    def from_pmf(cls, top: int, pmf, head: int = 64) -> "LatticeLaw":
-        """Build from a pmf callable on {top, top-1, ...}, aggregating the
-        tail below ``head`` explicit sites into one bottom atom."""
-        vals = list(range(top, top - head, -1))
-        probs = [float(pmf(v)) for v in vals]
-        tail = 1.0 - math.fsum(probs)
-        if tail < -1e-12:
-            raise ValueError("pmf head mass exceeds 1")
-        pairs = [(v, p) for v, p in zip(vals, probs)]
-        pairs.append((top - head, max(tail, 0.0)))
-        return cls(top=top, atoms=tuple(pairs))
-
     @property
     def values(self) -> np.ndarray:
         return self._values
@@ -177,10 +163,6 @@ class LatticeLaw(NoiseLaw):
         if i < len(self._values) and self._values[i] == value:
             return float(self.probs[i])
         return 0.0
-
-    def satisfies_assumption_r(self) -> bool:
-        # positive mass on the top two sites
-        return self.prob_of(self.top) > 0.0 and self.prob_of(self.top - 1) > 0.0
 
     def cdf_int(self, i) -> np.ndarray:
         """P(xi <= i) for integer (array) i."""

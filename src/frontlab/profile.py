@@ -37,6 +37,8 @@ __all__ = [
 ]
 
 _EXP_CLAMP = 700.0
+# quantile levels of fluctuation_experiment
+_LEVELS = np.arange(0.1, 0.91, 0.1)
 
 
 @dataclass(frozen=True)
@@ -155,6 +157,8 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
         raise ValueError("need t >= 2")
     if not 1 <= k <= n:
         raise ValueError("need 1 <= k <= n")
+    if replicas < 2:
+        raise ValueError("need replicas >= 2")
     front = lse_front(target_rate)
     sample = np.empty((replicas, k))
     for r in range(replicas):
@@ -233,8 +237,7 @@ def fluctuation_experiment(n_list, t: int, x: float,
                            law: GumbelLaw = GumbelLaw(),
                            replicas: int = 400,
                            ref_size: int = 10 ** 6,
-                           ref_draws: int = 1000,
-                           levels=None) -> FluctuationReport:
+                           ref_draws: int = 1000) -> FluctuationReport:
     """Distribution of the scaled profile-height error at abscissa x.
 
     For each N the statistic is ln N (U_N(t, y) - u(x)) with the moving
@@ -243,16 +246,14 @@ def fluctuation_experiment(n_list, t: int, x: float,
     driven by the stable fluctuations of the t-1 front increments. The
     reference law is |u'(x)|/rate times a sum of t-1 independent centered
     reciprocal-sum variables at size ``ref_size``; both sides are summarized
-    by quantiles.
+    by their quantiles at ``_LEVELS``.
     """
     if not isinstance(law, GumbelLaw):
         raise TypeError("fluctuation experiment requires Gumbel noise")
     if t < 1:
         raise ValueError("need t >= 1")
     n_list = tuple(int(n) for n in n_list)
-    if levels is None:
-        levels = np.arange(0.1, 0.91, 0.1)
-    levels = np.asarray(levels, dtype=float)
+    levels = _LEVELS.copy()
     u_x = float(gumbel_wave(x, law.rate, law.loc))
     slope = abs(float(wave_derivative(x, law.rate, law.loc)))
 
@@ -265,7 +266,7 @@ def fluctuation_experiment(n_list, t: int, x: float,
         for r in range(replicas):
             # only X(t) is read: skip advance's front of X(t-1) and its copy
             for block in engine._position_blocks(
-                    law, n, t, rng, initial_state(n).positions):
+                    law, t, rng, initial_state(n).positions):
                 last = block[-1]
             stat[r] = math.log(n) * (np.mean(last > y) - u_x)
         stat_q[row] = np.quantile(stat, levels)

@@ -50,7 +50,6 @@ from .engine import SpeedEstimate, _check_batches, batch_means
 from .noise import LatticeLaw
 
 __all__ = [
-    "bernoulli_row",
     "bernoulli_matrix",
     "bernoulli_stationary",
     "bernoulli_speed",
@@ -65,7 +64,6 @@ __all__ = [
     "lattice_speed",
     "lattice_chain_sim",
     "gap_speed_prediction",
-    "normal_form",
     "SandwichBounds",
     "sandwich_bounds",
     "parse_q",
@@ -75,6 +73,8 @@ _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
 _SIM_BLOCK = 1 << 12   # uniforms per block draw of the chain simulation
 _BOUNDARY_TOL = 1e-12  # largest stationary mass on the lumped bottom slot
+_MAX_STATES = 200_000  # largest depth-chain state space lattice_speed builds
+_WIDENINGS = 3         # window doublings lattice_speed may take
 
 
 def parse_q(q, exact: bool = False):
@@ -88,16 +88,6 @@ def parse_q(q, exact: bool = False):
     if not 0 < val < 1:
         raise ValueError(f"q must lie in (0, 1), got {q!r}")
     return val if exact else float(val)
-
-
-def bernoulli_row(n: int, q, m: int, exact: bool = False):
-    """Transition row of the leader-count chain from count m: row m of
-    :func:`bernoulli_matrix`, numpy in float mode, Fractions in exact mode.
-    """
-    if not 0 <= m <= n:
-        raise ValueError(f"count m must lie in [0, {n}], got {m}")
-    row = bernoulli_matrix(n, q, exact)[m]
-    return list(row) if exact else row
 
 
 def bernoulli_matrix(n: int, q, exact: bool = False) -> np.ndarray:
@@ -526,14 +516,13 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
     return states, rows, cums
 
 
-def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
-                  max_states: int = 200_000,
-                  widenings: int = 3) -> LatticeSpeedReport:
+def lattice_speed(law: LatticeLaw, n: int,
+                  window: int = 16) -> LatticeSpeedReport:
     """Exact (windowed) front speed for a bounded integer jump law.
 
     Enumerates the reachable depth states, solves the stationary law, and
     reports the speed as the stationary mean of the per-step leader
-    displacement. The window widens (doubling, up to ``widenings`` times)
+    displacement. The window widens (doubling, up to ``_WIDENINGS`` times)
     while the stationary mass touching the lumped bottom slot exceeds
     ``_BOUNDARY_TOL``; a warning marks reports where it still does.
     """
@@ -541,8 +530,8 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
         raise ValueError("need n >= 1")
     if window < 2:
         raise ValueError("window must be >= 2")
-    for attempt in range(widenings + 1):
-        states, rows, cums = _lattice_chain(law, n, window, max_states)
+    for attempt in range(_WIDENINGS + 1):
+        states, rows, cums = _lattice_chain(law, n, window, _MAX_STATES)
         size = len(states)
         cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
         probs = np.fromiter(itertools.chain.from_iterable(
@@ -553,7 +542,7 @@ def lattice_speed(law: LatticeLaw, n: int, window: int = 16,
 
         arr = np.array(states)
         boundary = float(nu[arr[:, 0] > 0].sum())
-        if boundary <= _BOUNDARY_TOL or attempt == widenings:
+        if boundary <= _BOUNDARY_TOL or attempt == _WIDENINGS:
             break
         window *= 2
     if boundary > _BOUNDARY_TOL:
@@ -621,21 +610,6 @@ def gap_speed_prediction(a: float, b: float, p: float, n: int) -> float:
     return a - (a - b) * (1.0 - p) ** (n * n) * 2.0 ** n
 
 
-def normal_form(a: float, b: float):
-    """Affine maps sending (a, b) to (0, -1): x -> (x-a)/(a-b), and back."""
-    if not a > b:
-        raise ValueError("need a > b")
-    scale = a - b
-
-    def fwd(x):
-        return (np.asarray(x, dtype=float) - a) / scale
-
-    def back(v):
-        return a + scale * np.asarray(v, dtype=float)
-
-    return fwd, back
-
-
 @dataclass(frozen=True)
 class SandwichBounds:
     lower: float
@@ -645,8 +619,8 @@ class SandwichBounds:
     stretched_law: LatticeLaw
 
 
-def sandwich_bounds(law: LatticeLaw, n: int, eps: float = 0.1,
-                    window: int = 16) -> SandwichBounds:
+def sandwich_bounds(law: LatticeLaw, n: int,
+                    eps: float = 0.1) -> SandwichBounds:
     """Exact speed bounds from the two-sided discretization of ``law``.
 
     ``law`` must be in normal form: top atom at 0, remaining support at or
@@ -664,7 +638,7 @@ def sandwich_bounds(law: LatticeLaw, n: int, eps: float = 0.1,
         raise ValueError("top atom must have mass in (0, 1)")
 
     coarse = LatticeLaw(top=0, atoms=((0, p_top), (-1, 1.0 - p_top)))
-    upper = lattice_speed(coarse, n, window=window).value
+    upper = lattice_speed(coarse, n).value
 
     squeezed: dict[int, float] = {}
     for v, p in law.atoms:
@@ -673,6 +647,6 @@ def sandwich_bounds(law: LatticeLaw, n: int, eps: float = 0.1,
         site = 0 if v == 0 else math.floor(v / (1.0 + eps))
         squeezed[site] = squeezed.get(site, 0.0) + p
     stretched = LatticeLaw(top=0, atoms=tuple(sorted(squeezed.items())))
-    lower = (1.0 + eps) * lattice_speed(stretched, n, window=window).value
+    lower = (1.0 + eps) * lattice_speed(stretched, n).value
     return SandwichBounds(lower=lower, upper=upper, eps=eps,
                           coarse_law=coarse, stretched_law=stretched)

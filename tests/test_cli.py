@@ -396,6 +396,21 @@ def test_bad_spec_json_exits_2(capsys):
     assert err.startswith("frontlab:")
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("argv, message", [
+    (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
+      "marginal", "--replicas", "1", "--k", "2"], "replicas >= 2"),
+    (["speed", "--spec", BERN, "--N", "3", "--horizon", "200", "--front",
+      "order", "--front-param", "2.5"], "integer rank"),
+])
+def test_bad_parameter_exits_2(argv, message, capsys):
+    # refused, not run: no NaN in the JSON, no truncated rank
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert message in err
+
+
 def test_bad_grid_exits_2(capsys):
     code, _, _ = run(["profile", "--spec", GUMBEL, "--N", "100",
                       "--grid", "4:-4:0.5"], capsys)

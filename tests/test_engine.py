@@ -125,12 +125,24 @@ def test_front_validation():
         order_front(0)
     with pytest.raises(ValueError):
         order_front(4)(np.zeros(3))
+    # a rank that is not an integer is refused, not truncated
+    for rank in (2.7, 2.5, math.inf, math.nan, None):
+        with pytest.raises(ValueError, match="integer rank"):
+            FrontFunctional("order", rank)
+    with pytest.raises(ValueError, match="integer rank"):
+        order_front(2.5)
+    assert order_front(2.0)(np.arange(5.0)) == 3.0
 
 
-def test_front_labels():
-    assert MAX_FRONT.label() == "max"
-    assert lse_front(1.5).label() == "lse(1.5)"
-    assert order_front(2).label() == "order(2)"
+@pytest.mark.parametrize("n", [1, 2, 7, 1000, 100_000])
+def test_fronts_match_numpy_reductions(n):
+    # max, min and order fronts read the one-row block of ``rows``
+    x = make_rng(9).normal(size=n)
+    rank = min(3, n)
+    for front, want in ((MAX_FRONT, np.max(x)), (MIN_FRONT, np.min(x)),
+                        (order_front(rank), np.partition(x, -rank)[-rank])):
+        got = front(x)
+        assert type(got) is float and got == want
 
 
 def test_log_sum_exp_stability():
@@ -294,12 +306,12 @@ def test_batch_means_uses_whole_batches():
     assert est.sigma2 == pytest.approx(3 * 9.0, rel=1e-14)
 
 
-def test_renewal_speed_validation():
+def test_renewal_speed_validation(monkeypatch):
     with pytest.raises(ValueError):
         engine.renewal_speed(GumbelLaw(), 2, n_renewals=5, rng=make_rng(0))
+    monkeypatch.setattr(engine, "_STEP_BUDGET", 20)
     with pytest.raises(RuntimeError):
-        engine.renewal_speed(GumbelLaw(), 3, n_renewals=100,
-                             step_budget=20, rng=make_rng(0))
+        engine.renewal_speed(GumbelLaw(), 3, n_renewals=100, rng=make_rng(0))
 
 
 def test_renewal_speed_runs(rng):
@@ -340,7 +352,7 @@ def per_step_renewal(law, n, front, n_renewals, rng, step_budget=10**7):
     (GumbelLaw(), 2, MAX_FRONT), (GumbelLaw(), 2, lse_front(1.0)),
     (GumbelLaw(), 3, MAX_FRONT), (GumbelLaw(), 3, lse_front(1.0)),
     (BernoulliLaw(0.5), 2, MAX_FRONT)])
-def test_renewal_speed_is_the_per_step_estimator(law, n, front):
+def test_renewal_speed_is_the_per_step_estimator(law, n, front, monkeypatch):
     # block draws give the same noise stream, so the same renewals; only
     # re-associated sums and vectorized lse fronts may move the last ulps
     est = engine.renewal_speed(law, n, front=front, n_renewals=300,
@@ -351,14 +363,16 @@ def test_renewal_speed_is_the_per_step_estimator(law, n, front):
                                rtol=1e-12, atol=0)
     # the budget is counted in steps: enough at the last renewal used,
     # one step short is not
+    monkeypatch.setattr(engine, "_STEP_BUDGET", last)
     at = engine.renewal_speed(law, n, front=front, n_renewals=300,
-                              rng=make_rng(51), step_budget=last)
+                              rng=make_rng(51))
     assert at.n_blocks == 300
     np.testing.assert_allclose((at.value, at.std_err, at.sigma2), want,
                                rtol=1e-12, atol=0)
+    monkeypatch.setattr(engine, "_STEP_BUDGET", last - 1)
     with pytest.raises(RuntimeError, match="budget exhausted"):
         engine.renewal_speed(law, n, front=front, n_renewals=300,
-                             rng=make_rng(51), step_budget=last - 1)
+                             rng=make_rng(51))
 
 
 def test_default_burn_in():
@@ -468,7 +482,7 @@ def test_exact_gumbel_kernel_matches_full_step_in_law(n, t):
         ref = np.diff([front(p) for p in full[19:]])
         p = stats.ks_2samp(exact, ref).pvalue
         lag1 = [np.corrcoef(d[:-1], d[1:])[0, 1] for d in (exact, ref)]
-        assert p > 1e-3, (front.label(), p)
+        assert p > 1e-3, (front, p)
         assert abs(lag1[0] - lag1[1]) <= 4 * math.sqrt(2.0 / t), lag1
 
 
@@ -551,7 +565,7 @@ def test_position_blocks_is_the_kernel_ladder(law, n, kernel):
     # N = 384 and the conditional step above it; Gumbel blocks of one row
     # (N > 2^15) are the exact step. Each is its ladder bit for bit
     start = make_rng(43).normal(size=n)
-    got = np.vstack(list(engine._position_blocks(law, n, 3, make_rng(44),
+    got = np.vstack(list(engine._position_blocks(law, 3, make_rng(44),
                                                  start)))
     rng, state, want = make_rng(44), initial_state(n, start), []
     for _ in range(3):
@@ -564,8 +578,8 @@ def test_position_blocks_is_the_kernel_ladder(law, n, kernel):
                                       (1 << 16, 2), ((1 << 16) + 1, 2),
                                       (100_000, 2)])
 def test_gumbel_blocks_hold_at_most_2_16_floats(n, steps):
-    blocks = list(engine._position_blocks(GumbelLaw(), n, steps,
-                                          make_rng(45), np.zeros(n)))
+    blocks = list(engine._position_blocks(GumbelLaw(), steps, make_rng(45),
+                                          np.zeros(n)))
     assert sum(b.shape[0] for b in blocks) == steps
     for b in blocks:
         assert b.shape[0] >= 1 and b.size <= max(n, 1 << 16)
@@ -578,9 +592,9 @@ def test_gumbel_blocks_join_like_one_block(monkeypatch):
     # block goes on with the cumsum of the fresh rows' fronts
     law, n, steps = GumbelLaw(loc=0.3, rate=1.5), 1000, 300
     start = make_rng(46).normal(size=n)
-    cut = list(engine._position_blocks(law, n, steps, make_rng(47), start))
+    cut = list(engine._position_blocks(law, steps, make_rng(47), start))
     monkeypatch.setattr(engine, "_GUMBEL_BLOCK_ELEMENTS", n * steps)
-    whole = list(engine._position_blocks(law, n, steps, make_rng(47), start))
+    whole = list(engine._position_blocks(law, steps, make_rng(47), start))
     assert len(cut) == 5 and len(whole) == 1
     np.testing.assert_allclose(np.vstack(cut), whole[0], rtol=1e-13, atol=0)
 

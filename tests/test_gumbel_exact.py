@@ -9,6 +9,7 @@ from scipy import integrate, stats
 from frontlab import gumbel_exact as gx
 
 from conftest import ZeroUniforms, make_rng
+from stable_oracles import psi_from_levy, stable_reference_samples
 
 
 # ---------------------------------------------------------------------------
@@ -79,7 +80,8 @@ def test_v_sigma_mc_validation():
 def test_recip_sums_do_not_depend_on_block_length(n, monkeypatch):
     m = max(1, gx._RECIP_BLOCK // n) + 3  # one full default block, then 3
     full = gx._recip_sums(n, m, make_rng(4))
-    monkeypatch.setattr(gx, "_RECIP_BLOCK", 1)
+    # blocks of 7 rows at N = 1, of one row at N = 7 and 10^4
+    monkeypatch.setattr(gx, "_RECIP_BLOCK", 7)
     np.testing.assert_array_equal(gx._recip_sums(n, m, make_rng(4)), full)
 
 
@@ -269,15 +271,15 @@ def test_psi_zero_shape():
 def test_psi_from_levy_matches_closed_form():
     exp = gx.stable_exponent()
     for u in (-1.5, -0.25, 0.5, 1.0, 2.0):
-        got = gx.psi_from_levy(u)
+        got = psi_from_levy(u)
         want = complex(exp.psi(u))
         assert got == pytest.approx(want, abs=1e-8)
-    assert gx.psi_from_levy(0.0) == 0.0
+    assert psi_from_levy(0.0) == 0.0
 
 
 def test_psi_conjugate_symmetry():
-    got = gx.psi_from_levy(0.7)
-    assert gx.psi_from_levy(-0.7) == pytest.approx(got.conjugate(), abs=1e-10)
+    got = psi_from_levy(0.7)
+    assert psi_from_levy(-0.7) == pytest.approx(got.conjugate(), abs=1e-10)
 
 
 # ---------------------------------------------------------------------------
@@ -292,14 +294,6 @@ def test_scaling_params_range():
                                         - math.log(p.b) / p.rate)
     # N = 3 sits just outside the usable range
     assert gx.scaling_params(3).rate > 1.0
-
-
-def test_beta_centering():
-    p = gx.scaling_params(10)
-    assert p.beta(1.0) == pytest.approx(math.log(p.b))
-    assert p.beta(math.e) == pytest.approx(math.log(p.b) + p.rate)
-    with pytest.raises(ValueError):
-        p.beta(0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +314,7 @@ def test_cf_distance_zero_for_exact_target():
 
 
 def test_stable_reference_cf(rng):
-    x = gx.stable_reference_samples(100_000, rng)
+    x = stable_reference_samples(100_000, rng)
     grid = np.arange(-2.0, 2.01, 0.25)
     grid = grid[np.abs(grid) > 1e-12]
     assert gx.cf_distance(x, grid) < 0.02
@@ -328,9 +322,9 @@ def test_stable_reference_cf(rng):
 
 def test_stable_reference_one_stability(rng):
     # X1 + X2 =d 2 X + 2 ln 2 under psi_0: check by two-sample KS
-    a = gx.stable_reference_samples(30_000, rng)
-    b = gx.stable_reference_samples(30_000, rng)
-    c = gx.stable_reference_samples(30_000, rng)
+    a = stable_reference_samples(30_000, rng)
+    b = stable_reference_samples(30_000, rng)
+    c = stable_reference_samples(30_000, rng)
     lhs = (a + b - 2.0 * math.log(2.0)) / 2.0
     assert stats.ks_2samp(lhs, c).pvalue > 1e-3
 
@@ -348,7 +342,7 @@ def test_normalized_increments_vs_cms_reference(rng):
     # sampler route vs exact CMS route, compared through the cf on a grid
     grid = np.array([-1.0, -0.5, 0.5, 1.0])
     inc = gx.normalized_increment_samples(50_000, 40_000, rng)
-    ref = gx.stable_reference_samples(40_000, rng)
+    ref = stable_reference_samples(40_000, rng)
     gap = np.abs(gx.empirical_cf(inc, grid) - gx.empirical_cf(ref, grid))
     assert gap.max() < 0.05
 

@@ -1,11 +1,17 @@
-"""scipy is loaded by the calls that need it, never by importing frontlab."""
+"""What importing frontlab gives: every name its modules export, and no
+scipy until a call needs it."""
 
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
+
+import frontlab
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -45,3 +51,12 @@ def test_scipy_calls_load_scipy_and_keep_their_values():
     b_10, c = map(float, out[1].split())
     np.testing.assert_allclose(b_10, 18.229239584193905, rtol=1e-13)
     np.testing.assert_allclose(c, 1.0 - np.euler_gamma, rtol=1e-12)
+
+
+@pytest.mark.parametrize("module", [
+    m.name for m in pkgutil.iter_modules(frontlab.__path__)])
+def test_every_exported_name_exists(module):
+    # the bench tracer calls getattr on every __all__ name
+    mod = importlib.import_module(f"frontlab.{module}")
+    assert [name for name in getattr(mod, "__all__", ())
+            if not hasattr(mod, name)] == []

@@ -198,21 +198,6 @@ def test_lattice_sample_frequencies(rng):
         assert abs(f - p) < 4 * math.sqrt(p * (1 - p) / 60_000)
 
 
-def test_lattice_from_pmf_aggregates_tail():
-    # geometric pmf on {0, -1, ...}: p(v) = 0.4 * 0.6^{-v}
-    law = LatticeLaw.from_pmf(0, lambda v: 0.4 * 0.6 ** (-v), head=8)
-    assert law.bottom == -8
-    assert law.prob_of(-8) == pytest.approx(0.6 ** 8)
-    assert math.fsum(p for _, p in law.atoms) == pytest.approx(1.0)
-    assert law.satisfies_assumption_r()
-
-
-def test_lattice_assumption_r():
-    assert THREE_ATOM.satisfies_assumption_r()
-    gapped = LatticeLaw(top=0, atoms=((0, 0.5), (-2, 0.5)))
-    assert not gapped.satisfies_assumption_r()
-
-
 def test_lattice_validation():
     with pytest.raises(ValueError):
         LatticeLaw(top=0, atoms=((0, 0.5), (0, 0.5)))

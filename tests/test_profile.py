@@ -194,6 +194,11 @@ def test_marginal_validation():
         marginal_gumbel_test(GumbelLaw(), 10, 1, make_rng(0))
     with pytest.raises(ValueError):
         marginal_gumbel_test(GumbelLaw(), 10, 2, make_rng(0), k=11)
+    # one replica has no sample correlation: refused before any step
+    for replicas in (0, 1):
+        with pytest.raises(ValueError, match="replicas"):
+            marginal_gumbel_test(GumbelLaw(), 20, 3, make_rng(0), k=2,
+                                 replicas=replicas)
 
 
 # ---------------------------------------------------------------------------

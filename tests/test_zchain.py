@@ -10,7 +10,6 @@ from frontlab.noise import BernoulliLaw, LatticeLaw
 from frontlab.zchain import (
     bernoulli_chain_sim,
     bernoulli_matrix,
-    bernoulli_row,
     bernoulli_speed,
     bernoulli_stationary,
     expected_return_time,
@@ -21,7 +20,6 @@ from frontlab.zchain import (
     lattice_s,
     lattice_speed,
     lattice_step,
-    normal_form,
     parse_q,
     sandwich_bounds,
 )
@@ -116,7 +114,7 @@ def test_hitting_mc_n3():
 
 def test_bernoulli_row_is_binomial():
     for m, expo in ((0, 3), (1, 1), (2, 2), (3, 3)):
-        row = bernoulli_row(3, 0.4, m)
+        row = bernoulli_matrix(3, 0.4)[m]
         ref = stats.binom.pmf(np.arange(4), 3, 1.0 - 0.4 ** expo)
         np.testing.assert_allclose(row, ref, rtol=1e-12)
         assert row.sum() == pytest.approx(1.0, abs=1e-14)
@@ -148,7 +146,6 @@ def test_bernoulli_matrix_equals_factorial_reference(n):
         got = bernoulli_matrix(n, q)
         assert got.dtype == float
         assert got.tobytes() == np.array(want).tobytes(), q
-        assert bernoulli_row(n, q, 1).tobytes() == got[1].tobytes()
 
 
 def test_bernoulli_matrix_exact_equals_factorial_reference():
@@ -160,16 +157,12 @@ def test_bernoulli_matrix_exact_equals_factorial_reference():
             want = [_ref_multinomial_pmf((n - j, j), (fail, 1 - fail))
                     for j in range(n + 1)]
             assert list(got[m]) == want
-            row = bernoulli_row(n, q, m, exact=True)
-            assert isinstance(row, list) and row == want
-            assert all(isinstance(x, Fraction) for x in row)
+            assert all(isinstance(x, Fraction) for x in got[m])
 
 
 def test_bernoulli_row_validation():
     with pytest.raises(ValueError):
-        bernoulli_row(3, 0.5, 4)
-    with pytest.raises(ValueError):
-        bernoulli_row(3, 1.0, 1)
+        bernoulli_matrix(3, 1.0)
 
 
 def test_stationary_solves_fixed_point():
@@ -638,9 +631,10 @@ def test_two_point_chain_equals_bernoulli_chain(n, q):
     index = {s: i for i, s in enumerate(states)}
     assert set(states) == {(n - j, j) for j in range(1, n + 1)}
 
-    np.testing.assert_array_equal(bernoulli_row(n, q, 0), bernoulli_row(n, q, n))
+    p = bernoulli_matrix(n, q)
+    np.testing.assert_array_equal(p[0], p[n])
     for j in range(1, n + 1):
-        brow = bernoulli_row(n, q, j)
+        brow = p[j]
         lrow = rows[index[(n - j, j)]]
         for k in range(1, n):
             assert lrow.get(index[(n - k, k)], 0.0) == brow[k]
@@ -699,16 +693,18 @@ def test_lattice_window_widens_for_deep_support():
     assert rep.boundary_mass <= 1e-12 and not rep.truncated
 
 
-def test_lattice_truncation_warns():
+def test_lattice_truncation_warns(monkeypatch):
     deep = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
+    monkeypatch.setattr(zchain, "_WIDENINGS", 0)
     with pytest.warns(UserWarning):
-        rep = lattice_speed(deep, 2, window=4, widenings=0)
+        rep = lattice_speed(deep, 2, window=4)
     assert rep.truncated
 
 
-def test_lattice_state_cap():
+def test_lattice_state_cap(monkeypatch):
+    monkeypatch.setattr(zchain, "_MAX_STATES", 3)
     with pytest.raises(RuntimeError):
-        lattice_speed(THREE_ATOM, 6, window=16, max_states=3)
+        lattice_speed(THREE_ATOM, 6, window=16)
 
 
 def test_lattice_speed_validation():
@@ -729,15 +725,6 @@ def test_gap_speed_prediction_formula():
         gap_speed_prediction(0.0, 1.0, 0.5, 3)
     with pytest.raises(ValueError):
         gap_speed_prediction(1.0, 0.0, 1.0, 3)
-
-
-def test_normal_form_roundtrip():
-    fwd, back = normal_form(2.0, -3.0)
-    x = np.array([2.0, -3.0, 0.5])
-    np.testing.assert_allclose(fwd(x), [0.0, -1.0, -0.3])
-    np.testing.assert_allclose(back(fwd(x)), x, rtol=1e-14)
-    with pytest.raises(ValueError):
-        normal_form(0.0, 0.0)
 
 
 def test_sandwich_brackets_two_point():
