@@ -101,8 +101,6 @@ def _run_speed(args, seed):
 
 def _run_gumbel(args, seed):
     n = args.n
-    u_grid = _parse_grid(args.u_grid) if args.u_grid else None
-    rng = _rng(seed)
     rows = [
         ("b_N", gumbel_exact.b_of_N(n), ""),
         ("b_N_over_N_asymptotic", gumbel_exact.b_over_n_asymptotic(n), ""),
@@ -119,13 +117,10 @@ def _run_gumbel(args, seed):
         p = gumbel_exact.scaling_params(n)
         rows += [("lambda_N", p.rate, ""), ("a_N", p.shift, "")]
     if args.samples:
-        est = gumbel_exact.v_sigma_mc(n, args.samples, rng,
+        est = gumbel_exact.v_sigma_mc(n, args.samples, _rng(seed),
                                       loc=args.loc, rate=args.rate)
         rows += [("v_mc", est.v, est.v_std_err),
                  ("sigma2_mc", est.sigma2, est.sigma2_std_err)]
-    if u_grid is not None:
-        dist = _cf_distance(n, args.samples or 20_000, u_grid, rng)
-        rows.append(("cf_distance", dist, ""))
     if args.emit == "json":
         return "json", {
             "N": n,
@@ -136,6 +131,14 @@ def _run_gumbel(args, seed):
         }
     return "csv", ["name", "value", "std_err"], \
         [[k, _fmt(v), _fmt(s) if s != "" else ""] for k, v, s in rows]
+
+
+def _lattice_law(probs: str) -> LatticeLaw:
+    """The lattice law ``--probs`` describes."""
+    law = from_json(probs)
+    if not isinstance(law, LatticeLaw):
+        raise ValueError("--probs must describe a lattice law")
+    return law
 
 
 def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
@@ -152,9 +155,7 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
         sim = zchain.bernoulli_chain_sim(n, float(qv), steps, rng)
         q_out = float(qv)
     else:
-        law = from_json(probs)
-        if not isinstance(law, LatticeLaw):
-            raise ValueError("--probs must describe a lattice law")
+        law = _lattice_law(probs)
         rep = zchain.lattice_speed(law, n, window=window)
         v_exact, gap = rep.value, rep.ladder.sum()
         sim = zchain.lattice_chain_sim(law, n, steps, rng, window=window)
@@ -191,8 +192,8 @@ def _run_zchain(args, seed):
     # ladder report: lattice stationary dive probabilities
     if args.dist != "lattice":
         raise ValueError("ladder report is for the lattice chain")
-    law = from_json(args.probs)
-    rep = zchain.lattice_speed(law, args.n, window=args.window)
+    rep = zchain.lattice_speed(_lattice_law(args.probs), args.n,
+                               window=args.window)
     obj = {
         "N": args.n,
         "v_exact": rep.value,
@@ -272,43 +273,27 @@ def _run_scaling(args, seed):
 # sweep
 
 
-def _sweep_cell(task, n, q, samples, steps, u_grid, seed, index):
+def _sweep_cell(n, q, steps, seed, index):
     try:
-        rng = _rng(seed, index)
-        if task == "zchain":
-            row = _zchain_cell("bernoulli", n, q, None, "float", steps,
-                               16, rng)
-            return [str(row[0])] + [_fmt(v) for v in row[1:]] + ["ok"]
-        return [str(n), _fmt(_cf_distance(n, samples, u_grid, rng)), "ok"]
+        row = _zchain_cell("bernoulli", n, q, None, "float", steps, 16,
+                           _rng(seed, index))
+        return [str(row[0])] + [_fmt(v) for v in row[1:]] + ["ok"]
     except Exception as e:  # cell failures are flagged, not fatal
-        width = 7 if task == "zchain" else 3
-        head = [str(n)] if q is None else [str(n), str(q)]
-        return head + [""] * (width - len(head) - 1) + [f"failed: {e}"]
+        return [str(n), str(q), "", "", "", "", f"failed: {e}"]
 
 
 def _run_sweep(args, seed):
     if not args.n_list:
         raise ValueError("need at least one --N")
-    if args.task == "zchain":
-        if not args.q_list:
-            raise ValueError("zchain sweep needs at least one --q")
-        cells = [(n, q) for n in args.n_list for q in args.q_list]
-        header = ["N", "q", "v_exact", "v_sim", "se",
-                  "ratio_to_asymptotic", "status"]
-    else:
-        cells = [(n, None) for n in args.n_list]
-        header = ["N", "cf_distance", "status"]
-    u_grid = _parse_grid(args.u_grid) if args.task == "gumbel" else None
-    jobs = [(args.task, n, q, args.samples, args.steps, u_grid, seed, i)
-            for i, (n, q) in enumerate(cells)]
+    if not args.q_list:
+        raise ValueError("zchain sweep needs at least one --q")
+    cells = [(n, q) for n in args.n_list for q in args.q_list]
+    header = ["N", "q", "v_exact", "v_sim", "se", "ratio_to_asymptotic",
+              "status"]
+    jobs = [(n, q, args.steps, seed, i) for i, (n, q) in enumerate(cells)]
     if args.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        if args.task == "gumbel":
-            # forked workers inherit scipy and the cached C from the parent
-            # instead of each importing it; under the spawn and forkserver
-            # start methods each worker still imports scipy itself
-            gumbel_exact.constant_C()
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             rows = list(pool.map(_sweep_cell, *zip(*jobs)))
     else:
@@ -412,7 +397,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples", type=int, default=100_000)
     p.add_argument("--a", dest="loc", type=float, default=0.0)
     p.add_argument("--lambda", dest="rate", type=float, default=1.0)
-    p.add_argument("--u-grid", default=None, metavar="U0:U1:STEP")
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("zchain", help="exact leader-count chain reports")
@@ -448,12 +432,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--u-grid", default="-2:2:0.25", metavar="U0:U1:STEP")
 
     p = sub.add_parser("sweep", help="cartesian sweep with one row per cell")
-    p.add_argument("--task", choices=["zchain", "gumbel"], required=True)
+    p.add_argument("--task", choices=["zchain"], required=True)
     _int_list(p, "--N")
     p.add_argument("--q", dest="q_list", action="append", default=None)
-    p.add_argument("--samples", type=int, default=20_000)
     p.add_argument("--steps", type=int, default=20_000)
-    p.add_argument("--u-grid", default="-2:2:0.25", metavar="U0:U1:STEP")
     p.add_argument("--workers", type=int, default=os.cpu_count() or 1)
 
     for sp in sub.choices.values():

@@ -68,8 +68,10 @@ class FrontFunctional:
     def __post_init__(self):
         if self.kind not in ("max", "min", "lse", "order"):
             raise ValueError(f"unknown front functional {self.kind!r}")
-        if self.kind == "lse" and not (self.param and self.param > 0):
-            raise ValueError("lse front needs a positive rate")
+        if self.kind == "lse" and not (
+                self.param is not None and 0.0 < self.param < math.inf):
+            raise ValueError(f"lse front needs a finite rate > 0, got "
+                             f"{self.param!r}")
         if self.kind == "order" and not (
                 self.param is not None and float(self.param).is_integer()
                 and self.param >= 1):
@@ -122,6 +124,8 @@ class ParticleState:
 
 
 def initial_state(n: int, positions=None) -> ParticleState:
+    if n < 1:
+        raise ValueError(f"need N >= 1, got {n}")
     if positions is None:
         positions = np.zeros(n)
     positions = np.asarray(positions, dtype=float)

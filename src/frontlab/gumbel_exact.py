@@ -14,7 +14,6 @@ import math
 import os
 import threading
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -41,8 +40,6 @@ __all__ = [
 ]
 
 _EULER_GAMMA = float(np.euler_gamma)
-# absolute (and relative) quadrature tolerance of C
-_QUAD_TOL = 1e-12
 
 
 def _check_n(n_particles: int) -> int:
@@ -198,22 +195,16 @@ def expansion_sigma2(n_particles: int, rate: float = 1.0) -> float:
 # stable exponent
 
 
-@lru_cache(maxsize=None)
 def constant_C() -> float:
-    """Drift constant of the stable exponent, by quadrature.
+    """Drift constant of the stable exponent, C = 1 - gamma = 0.42278...
 
     C = Im[ integral_1^inf (e^{ix} - 1) x^-2 dx
             + integral_0^1 (e^{ix} - 1 - ix) x^-2 dx ],
-    i.e. the sine integrals below. Evaluates to 0.42278... (numerically
-    1 - gamma); computed, never hardcoded.
+    and the two sine integrals sum to 1 - gamma in closed form (Euler's
+    gamma). ``tests/stable_oracles.py`` evaluates them by quadrature, as a
+    test oracle.
     """
-    from scipy.integrate import quad
-
-    tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=1.0,
-                   epsabs=_QUAD_TOL)
-    head, _ = quad(lambda x: (math.sin(x) - x) / x ** 2, 0.0, 1.0,
-                   epsabs=_QUAD_TOL, epsrel=_QUAD_TOL)
-    return tail + head
+    return 1.0 - _EULER_GAMMA
 
 
 def _psi_zero(u: np.ndarray) -> np.ndarray:
@@ -291,9 +282,11 @@ def s_hat_samples(n_particles: int, n_samples: int,
 
 def empirical_cf(samples: np.ndarray, u_grid) -> np.ndarray:
     """Empirical characteristic function on a grid, single pass."""
+    samples = np.asarray(samples)
+    if samples.size == 0:
+        raise ValueError("empirical cf needs at least one sample")
     u = np.asarray(u_grid, dtype=float)
     out = np.zeros(u.shape, dtype=complex)
-    samples = np.asarray(samples)
     chunk = max(1, 4_000_000 // max(u.size, 1))
     for i in range(0, samples.size, chunk):
         x = samples[i:i + chunk]

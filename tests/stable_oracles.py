@@ -1,6 +1,7 @@
 """Reference routes to the index-1 stable limit, independent of frontlab's
-samplers: an exact Chambers-Mallows-Stuck sampler and a direct quadrature of
-the Levy-measure integrals. Tests compare frontlab's results against them.
+samplers and closed forms: an exact Chambers-Mallows-Stuck sampler and direct
+quadratures of the Levy-measure integrals. Tests compare frontlab's results
+against them.
 """
 import math
 
@@ -9,6 +10,21 @@ from scipy.integrate import quad
 
 # absolute (and relative) quadrature tolerance of psi_from_levy
 _LEVY_TOL = 1e-10
+# absolute (and relative) quadrature tolerance of constant_c_by_quadrature
+_C_TOL = 1e-12
+
+
+def constant_c_by_quadrature() -> float:
+    """The stable drift constant C as its two sine integrals.
+
+    C = integral of sin(x) x^-2 over [1, inf) plus (sin(x) - x) x^-2 over
+    (0, 1], the imaginary part of psi_C(1) - psi_0(1).
+    """
+    tail, _ = quad(lambda x: x ** -2, 1.0, np.inf, weight="sin", wvar=1.0,
+                   epsabs=_C_TOL)
+    head, _ = quad(lambda x: (math.sin(x) - x) / x ** 2, 0.0, 1.0,
+                   epsabs=_C_TOL, epsrel=_C_TOL)
+    return tail + head
 
 
 def psi_from_levy(u: float) -> complex:

@@ -52,14 +52,6 @@ def test_gumbel_reference_values(capsys):
     assert "v_mc" in table and "sigma2_mc" in table
 
 
-def test_gumbel_cf_row_with_grid(capsys):
-    code, out, _ = run(["gumbel", "--N", "1000", "--samples", "3000",
-                        "--u-grid=-2:2:0.5"], capsys)
-    assert code == 0
-    table = named(out)
-    assert 0.0 < float(table["cf_distance"]) < 1.0
-
-
 # ---------------------------------------------------------------------------
 # speed
 
@@ -252,8 +244,14 @@ def test_cell_streams_are_spawned_children(seed):
 
 @pytest.mark.parametrize("argv", [
     ["scaling", "--N", "100", "--emit", "json"],
-    ["sweep", "--task", "gumbel", "--N", "100", "--emit", "json"],
+    ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--emit", "json"],
     ["gumbel", "--N", "10", "--quad-tol", "1e-3"],
+    # scaling is the one cf-distance command
+    ["sweep", "--task", "gumbel", "--N", "100"],
+    ["gumbel", "--N", "10", "--u-grid=-2:2:0.5"],
+    ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5",
+     "--samples", "100"],
+    ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--u-grid=-2:2:1"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, out, _ = run(argv, capsys)
@@ -294,19 +292,10 @@ def test_sweep_partial_failure_exits_4(capsys):
     assert any(s.startswith("failed:") for s in status)
 
 
-def test_sweep_gumbel_task(capsys):
-    code, out, _ = run(["sweep", "--task", "gumbel", "--N", "100",
-                        "--N", "1000", "--samples", "2000",
-                        "--workers", "1"], capsys)
-    assert code == 0
-    header, rows = parse_csv(out)
-    assert header == ["N", "cf_distance", "status"]
-    assert float(rows[1][1]) < float(rows[0][1])
-
-
-def test_sweep_gumbel_workers_do_not_change_output(capsys):
-    # with two workers the parent loads scipy before the pool forks
-    argv = ["sweep", "--task", "gumbel", "--N", "10", "--N", "20"]
+def test_sweep_zchain_workers_do_not_change_output(capsys):
+    # each cell draws from its own stream, in the pool as in the loop
+    argv = ["sweep", "--task", "zchain", "--N", "2", "--N", "3",
+            "--q", "0.3", "--q", "0.5", "--steps", "2000"]
     code, serial, _ = run(argv + ["--workers", "1"], capsys)
     assert code == 0
     code, parallel, _ = run(argv + ["--workers", "2"], capsys)
@@ -402,6 +391,14 @@ def test_bad_spec_json_exits_2(capsys):
       "marginal", "--replicas", "1", "--k", "2"], "replicas >= 2"),
     (["speed", "--spec", BERN, "--N", "3", "--horizon", "200", "--front",
       "order", "--front-param", "2.5"], "integer rank"),
+    (["speed", "--spec", GUMBEL, "--N", "2", "--horizon", "200", "--front",
+      "lse", "--front-param", "inf"], "finite rate > 0"),
+    (["speed", "--spec", GUMBEL, "--N", "0"], "N >= 1"),
+    (["speed", "--spec", BERN, "--N", "0", "--method", "renewal"], "N >= 1"),
+    (["profile", "--spec", GUMBEL, "--N", "0", "--test", "ks"], "N >= 1"),
+    (["zchain", "--dist", "lattice", "--report", "ladder", "--N", "3",
+      "--probs", GUMBEL], "lattice law"),
+    (["scaling", "--N", "10", "--samples", "0"], "at least one sample"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank
@@ -418,13 +415,13 @@ def test_bad_grid_exits_2(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["gumbel", "--N", "10", "--samples", "100"],
-    ["scaling", "--N", "10", "--N", "20"],
-    ["sweep", "--task", "gumbel", "--N", "10", "--N", "20", "--workers", "1"],
+    ["scaling", "--N", "10", "--u-grid=2:-2:0.5"],
+    ["scaling", "--N", "10", "--u-grid=-2:2:0"],
+    ["scaling", "--N", "10", "--u-grid=-2:2:-0.5"],
 ])
 def test_bad_u_grid_exits_2(argv, capsys):
-    # the grid is parsed once per command, so a sweep has no cell to fail
-    code, out, err = run(argv + ["--u-grid=2:-2:0.5"], capsys)
+    # reversed bounds and steps <= 0 are refused before any cell runs
+    code, out, err = run(argv, capsys)
     assert code == 2
     assert out == ""
     assert err.startswith("frontlab: bad grid bounds")

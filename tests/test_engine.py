@@ -119,8 +119,12 @@ def test_front_shift_covariance(rng):
 def test_front_validation():
     with pytest.raises(ValueError):
         FrontFunctional("median")
-    with pytest.raises(ValueError):
-        lse_front(0.0)
+    # the rate of an lse front is finite and > 0, as GumbelLaw's is
+    for rate in (0.0, -1.0, math.inf, math.nan):
+        with pytest.raises(ValueError, match="finite rate > 0"):
+            lse_front(rate)
+    with pytest.raises(ValueError, match="finite rate > 0"):
+        FrontFunctional("lse")
     with pytest.raises(ValueError):
         order_front(0)
     with pytest.raises(ValueError):
@@ -159,6 +163,9 @@ def test_initial_state_validation():
     assert st.t == 0 and math.isnan(st.prev_front)
     with pytest.raises(ValueError):
         initial_state(3, np.zeros(5))
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="N >= 1"):
+            initial_state(n)
 
 
 # ---------------------------------------------------------------------------

@@ -9,7 +9,8 @@ from scipy import integrate, stats
 from frontlab import gumbel_exact as gx
 
 from conftest import ZeroUniforms, make_rng
-from stable_oracles import psi_from_levy, stable_reference_samples
+from stable_oracles import (constant_c_by_quadrature, psi_from_levy,
+                            stable_reference_samples)
 
 
 # ---------------------------------------------------------------------------
@@ -255,7 +256,9 @@ def test_expansion_validation():
 
 def test_constant_c_is_one_minus_gamma():
     # the sine integrals evaluate to 1 - gamma in closed form
-    assert gx.constant_C() == pytest.approx(1.0 - np.euler_gamma, abs=1e-9)
+    assert gx.constant_C() == 1.0 - np.euler_gamma
+    assert constant_c_by_quadrature() == pytest.approx(gx.constant_C(),
+                                                       abs=1e-12)
 
 
 def test_psi_zero_shape():
@@ -303,6 +306,11 @@ def test_scaling_params_range():
 def test_empirical_cf_hand_case():
     cf = gx.empirical_cf(np.array([0.0, math.pi]), [1.0])
     assert abs(cf[0] - (1.0 + np.exp(1j * math.pi)) / 2.0) < 1e-12
+
+
+def test_empirical_cf_refuses_empty_sample():
+    with pytest.raises(ValueError, match="at least one sample"):
+        gx.empirical_cf(np.array([]), [1.0])
 
 
 def test_cf_distance_zero_for_exact_target():
