@@ -101,6 +101,7 @@ def _run_speed(args, seed):
 
 def _run_gumbel(args, seed):
     n = args.n
+    law = GumbelLaw(args.loc, args.rate)  # refuses a bad --a or --lambda
     rows = [
         ("b_N", gumbel_exact.b_of_N(n), ""),
         ("b_N_over_N_asymptotic", gumbel_exact.b_over_n_asymptotic(n), ""),
@@ -108,9 +109,9 @@ def _run_gumbel(args, seed):
     ]
     if n >= 3:
         rows += [
-            ("v_expansion", gumbel_exact.expansion_v(n, args.loc, args.rate),
+            ("v_expansion", gumbel_exact.expansion_v(n, law.loc, law.rate),
              ""),
-            ("sigma2_expansion", gumbel_exact.expansion_sigma2(n, args.rate),
+            ("sigma2_expansion", gumbel_exact.expansion_sigma2(n, law.rate),
              ""),
         ]
     if n >= 4:
@@ -118,7 +119,7 @@ def _run_gumbel(args, seed):
         rows += [("lambda_N", p.rate, ""), ("a_N", p.shift, "")]
     if args.samples:
         est = gumbel_exact.v_sigma_mc(n, args.samples, _rng(seed),
-                                      loc=args.loc, rate=args.rate)
+                                      loc=law.loc, rate=law.rate)
         rows += [("v_mc", est.v, est.v_std_err),
                  ("sigma2_mc", est.sigma2, est.sigma2_std_err)]
     if args.emit == "json":
@@ -160,7 +161,9 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
         v_exact, gap = rep.value, rep.ladder.sum()
         sim = zchain.lattice_chain_sim(law, n, steps, rng, window=window)
         q_out = 1.0 - law.prob_of(law.top)
-    ratio = float(gap) / (q_out ** (n * n) * 2.0 ** n)
+    scale = q_out ** (n * n) * 2.0 ** n
+    # no ratio where the scale is 0: a point mass at the top, or underflow
+    ratio = float(gap) / scale if scale > 0.0 else None
     return [n, q_out, float(v_exact), sim.value, sim.std_err, ratio]
 
 
@@ -307,6 +310,8 @@ def _run_sweep(args, seed):
 
 
 def _fmt(v) -> str:
+    if v is None:
+        return ""
     if isinstance(v, (int, np.integer)):
         return str(int(v))
     return repr(float(v))

@@ -126,6 +126,26 @@ def test_zchain_hitting_hand_values(capsys):
     assert table["exact"] == "1"
 
 
+@pytest.mark.parametrize("emit", ["csv", "json"])
+def test_zchain_point_mass_leaves_ratio_empty(emit, capsys):
+    # q = 0: the top atom carries all the mass, the speed is 0 exactly and
+    # the gap scale q^(N^2) 2^N is 0, so there is no ratio to report
+    point = '{"type":"lattice","k":0,"probs":[[0,1.0]]}'
+    code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
+                        "--probs", point, "--steps", "200", "--emit", emit],
+                       capsys)
+    assert code == 0
+    if emit == "json":
+        row = json.loads(out)
+        assert row["ratio_to_asymptotic"] is None
+    else:
+        header, rows = parse_csv(out)
+        row = dict(zip(header, rows[0]))
+        assert row["ratio_to_asymptotic"] == ""
+    assert float(row["q"]) == 0.0
+    assert float(row["v_exact"]) == 0.0
+
+
 def test_zchain_ladder_report(capsys):
     code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
                         "--probs", LATTICE, "--report", "ladder"], capsys)
@@ -399,6 +419,14 @@ def test_bad_spec_json_exits_2(capsys):
     (["zchain", "--dist", "lattice", "--report", "ladder", "--N", "3",
       "--probs", GUMBEL], "lattice law"),
     (["scaling", "--N", "10", "--samples", "0"], "at least one sample"),
+    (["gumbel", "--N", "10", "--samples", "100", "--lambda", "-1"],
+     "rate must be positive"),
+    (["gumbel", "--N", "10", "--samples", "100", "--lambda", "0"],
+     "rate must be positive"),
+    (["gumbel", "--N", "10", "--samples", "100", "--lambda", "inf"],
+     "rate must be positive"),
+    (["gumbel", "--N", "10", "--samples", "100", "--a", "nan"],
+     "loc must be finite"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

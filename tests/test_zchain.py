@@ -24,6 +24,7 @@ from frontlab.zchain import (
     sandwich_bounds,
 )
 
+import chain_oracles
 from conftest import make_rng
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
@@ -288,6 +289,78 @@ def test_exact_stationary_is_an_exact_fixed_point():
     p = bernoulli_matrix(8, "3/5", exact=True)
     assert list(np.array(nu, dtype=object) @ p) == nu
     assert sum(nu) == 1
+
+
+# ---------------------------------------------------------------------------
+# exact solves on integer rows against the per-entry Fraction oracle
+
+
+def _exact_routes(n, q):
+    return (bernoulli_stationary(n, q, exact=True),
+            expected_return_time(n, q, exact=True),
+            hitting_analysis(n, q, exact=True))
+
+
+@pytest.mark.parametrize("n,q", [(2, "1/2"), (10, "3/5"), (16, "1/2"),
+                                 (12, "1/10")])
+def test_exact_routes_equal_fraction_oracle(monkeypatch, n, q):
+    got = _exact_routes(n, q)
+    assert all(type(x) is Fraction for x in got[0])
+    assert type(got[1]) is Fraction
+    monkeypatch.setattr(zchain, "_stationary", chain_oracles.stationary)
+    monkeypatch.setattr(zchain, "_first_step", chain_oracles.first_step)
+    assert got == _exact_routes(n, q)
+
+
+@pytest.mark.parametrize("n,q", [(10, "3/5"), (12, "1/10")])
+def test_exact_hitting_systems_equal_fraction_oracle(n, q):
+    # the race probabilities u and time-weighted masses w of
+    # hitting_analysis, in full, before the report rounds them to floats
+    p = bernoulli_matrix(n, q, exact=True)
+    interior = np.arange(n - 1, 0, -1)
+    b = p[np.ix_(interior, [0, n])]
+    u = zchain._first_step(p, interior, b)
+    assert u.shape == (n - 1, 2)
+    assert (u == chain_oracles.first_step(p, interior, b)).all()
+    w = zchain._first_step(p, interior, u)
+    assert (w == chain_oracles.first_step(p, interior, u)).all()
+    assert all(type(x) is Fraction for x in [*u.ravel(), *w.ravel()])
+
+
+def _random_chain(rng, n):
+    """An irreducible rational transition matrix with zeros and a different
+    denominator in each row; a cycle 0 -> 1 -> ... -> 0 keeps it
+    irreducible."""
+    weights = rng.integers(0, 5, size=(n, n))
+    weights[np.arange(n), (np.arange(n) + 1) % n] += 1
+    return np.array([[Fraction(int(w), int(row.sum())) for w in row]
+                     for row in weights], dtype=object)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_exact_solves_equal_fraction_oracle_on_random_chains(seed):
+    rng = make_rng(seed)
+    n = 9
+    p = _random_chain(rng, n)
+    nu = zchain._stationary(p)
+    assert list(nu) == list(chain_oracles.stationary(p))
+    assert list(nu @ p) == list(nu)
+    keep = rng.permutation(n)[:6]
+    b = np.array([[Fraction(int(rng.integers(0, 5)), int(rng.integers(1, 7)))
+                   for _ in range(2)] for _ in keep], dtype=object)
+    h = zchain._first_step(p, keep, b)
+    assert h.shape == (6, 2)
+    assert (h == chain_oracles.first_step(p, keep, b)).all()
+    assert all(type(x) is Fraction for x in h.ravel())
+    col = zchain._first_step(p, keep, b[:, 1])
+    assert list(col) == list(chain_oracles.first_step(p, keep, b[:, 1]))
+
+
+def test_scaled_values_stay_in_lowest_terms():
+    # 1/2 with 3/(2 * 2) appended is (2, 3) / 4; 1/2 with 2/(4 * 2)
+    # appended is (2, 1) / 4, not (4, 2) / 8
+    assert zchain._append_scaled([1], 2, 3, 2) == ([2, 3], 4)
+    assert zchain._append_scaled([1], 2, 2, 4) == ([2, 1], 4)
 
 
 def test_kac_residual_grid():
