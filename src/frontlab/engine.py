@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import GumbelLaw, LatticeLaw, BernoulliLaw, NoiseLaw
+from .noise import (GumbelLaw, LatticeLaw, BernoulliLaw, NoiseLaw,
+                    _draw_units, _gumbel_from_uniform)
 
 __all__ = [
     "FrontFunctional",
@@ -46,12 +47,29 @@ __all__ = [
 ]
 
 
+def _exp_sums(rows: np.ndarray, rate: float, tmp: np.ndarray):
+    """Maxima m over the last axis of ``rows`` and the sums of
+    e^{rate (x - m)}, through the scratch ``tmp`` of ``rows.size`` floats
+    or more: no temporary per operation."""
+    m = rows.max(axis=-1)
+    buf = tmp[:rows.size].reshape(rows.shape)
+    np.subtract(rows, m[..., None], out=buf)
+    buf *= rate
+    return m, np.exp(buf, out=buf).sum(axis=-1)
+
+
 def log_sum_exp(positions: np.ndarray, rate: float = 1.0) -> float:
     """Stable m + ln(sum e^{rate (x_i - m)}) / rate, m = max(x)."""
-    m = float(np.max(positions))
-    buf = positions - m     # one buffer: no temporary per operation
-    buf *= rate
-    return m + math.log(np.exp(buf, out=buf).sum()) / rate
+    m, total = _exp_sums(positions, rate, np.empty(positions.size))
+    return float(m) + math.log(total) / rate
+
+
+def _row_log_sum_exps(rows: np.ndarray, rate: float,
+                      tmp: np.ndarray) -> np.ndarray:
+    """:func:`log_sum_exp` of each row of a (R, N) block, bit for bit (one
+    scalar ``math.log`` a row), through the scratch ``tmp``."""
+    m, total = _exp_sums(rows, rate, tmp)
+    return m + np.array([math.log(v) for v in total]) / rate
 
 
 @dataclass(frozen=True)
@@ -94,10 +112,9 @@ class FrontFunctional:
         if self.kind == "min":
             return positions.min(axis=1)
         if self.kind == "lse":
-            m = positions.max(axis=1)
-            buf = positions - m[:, None]
-            buf *= self.param
-            return m + np.log(np.exp(buf, out=buf).sum(axis=1)) / self.param
+            m, total = _exp_sums(positions, self.param,
+                                 np.empty(positions.size))
+            return m + np.log(total) / self.param
         rank = int(self.param)
         if rank > positions.shape[1]:
             raise ValueError(f"rank {rank} exceeds N={positions.shape[1]}")
@@ -255,12 +272,19 @@ def advance(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
         return state
     if front is None:
         front = lse_front(getattr(law, "rate", 1.0))
-    prev = pos = state.positions
-    for block in _position_blocks(law, steps, rng, pos):
-        prev = block[-2] if block.shape[0] > 1 else pos
-        pos = block[-1]
+    prev, pos = _last_two(law, steps, rng, state.positions)
     return ParticleState(positions=pos.copy(), t=state.t + steps,
                          prev_front=front(prev))
+
+
+def _last_two(law: NoiseLaw, steps: int, rng: np.random.Generator,
+              positions: np.ndarray):
+    """X(steps - 1) and X(steps) from X(0) = ``positions``, steps >= 1."""
+    prev = pos = positions
+    for block in _position_blocks(law, steps, rng, positions):
+        prev = block[-2] if block.shape[0] > 1 else pos
+        pos = block[-1]
+    return prev, pos
 
 
 # ---------------------------------------------------------------------------
@@ -404,6 +428,30 @@ def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
     return out
 
 
+def _gumbel_block(n: int, steps: int) -> int:
+    """Rows per block of the exact Gumbel kernel over ``steps`` steps."""
+    return max(1, min(steps, _GUMBEL_BLOCK_ELEMENTS // n))
+
+
+def _gumbel_rows(fresh: np.ndarray, start: np.ndarray, rate: float,
+                 tmp: np.ndarray) -> None:
+    """One block of the exact Gumbel kernel for R replicas, in place.
+
+    ``fresh`` is (R, b, N): replica r's fresh Gumbel draws G_1, ..., G_b
+    at noise rate ``rate``, and ``start[r]`` the log-sum-exp Phi_0 of its
+    positions before the block. Row s becomes its positions Phi_{s-1} + G_s,
+    with Phi_s = Phi_{s-1} + Phi(G_s) by one cumsum over the block, Phi the
+    log-sum-exp at ``rate`` (vectorized log). ``tmp`` is scratch of
+    R (b - 1) N floats or more.
+    """
+    head = fresh[:, :-1]
+    m, total = _exp_sums(head, rate, tmp)
+    offsets = np.zeros(fresh.shape[:2])
+    np.cumsum(m + np.log(total) / rate, axis=1, out=offsets[:, 1:])
+    offsets += start[:, None]
+    fresh += offsets[..., None]
+
+
 def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
                      positions: np.ndarray):
     """Yield (b, N) blocks of the positions after each of ``steps`` steps.
@@ -418,11 +466,11 @@ def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
     """
     n = positions.size
     if isinstance(law, GumbelLaw):
-        lse = lse_front(law.rate)
-        block = max(1, min(steps, _GUMBEL_BLOCK_ELEMENTS // n))
+        block = _gumbel_block(n, steps)
+        tmp = np.empty((block - 1) * n)
         for fresh in _noise_blocks(law, (n,), steps, block, rng):
-            offsets = np.concatenate(([0.0], np.cumsum(lse.rows(fresh[:-1]))))
-            fresh += log_sum_exp(positions, law.rate) + offsets[:, None]
+            start = np.array([log_sum_exp(positions, law.rate)])
+            _gumbel_rows(fresh[None], start, law.rate, tmp)
             positions = fresh[-1]
             yield fresh
         return
@@ -437,6 +485,59 @@ def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
         block = _full_steps(positions, noise)
         positions = block[-1]
         yield block
+
+
+def _replica_runs(law: NoiseLaw, n: int, steps: int, replicas: int,
+                  rng: np.random.Generator, reduce,
+                  rate: float | None = None) -> None:
+    """Run ``replicas`` systems of N particles from the all-zero start for
+    ``steps`` >= 1 steps each, drawing from ``rng`` in replica order.
+
+    Calls ``reduce(i, last, fronts)`` on consecutive replicas i, i + 1, ...,
+    i + R - 1 until all are done: ``last`` is their (R, N) positions X(steps),
+    scratch that ``reduce`` may overwrite, and ``fronts`` the log-sum-exp at
+    ``rate`` of each one's X(steps - 1), or None when ``rate`` is None.
+    Everything is bit for bit what one :func:`_position_blocks` run per
+    replica gives, and ``rng`` ends in the same state.
+
+    Gumbel noise runs on the draw pipeline of :func:`noise._draw_units` when
+    a replica's steps N floats fit in ``_BLOCK_ELEMENTS``: a unit is one
+    replica, or as many as fit in ``_GUMBEL_BLOCK_ELEMENTS`` floats, and it
+    runs the blocks of :func:`_gumbel_rows` vectorized over its replicas, on
+    up to two threads. So ``reduce`` may run on a helper thread, on its own
+    replicas, and must call no public frontlab function. Other laws, and
+    larger Gumbel replicas, run one replica after another on the calling
+    thread.
+    """
+    if not (isinstance(law, GumbelLaw) and steps * n <= _BLOCK_ELEMENTS):
+        zeros = np.zeros(n)
+        for r in range(replicas):
+            prev, last = _last_two(law, steps, rng, zeros)
+            reduce(r, last[None], None if rate is None
+                   else np.array([log_sum_exp(prev, rate)]))
+        return
+    block = _gumbel_block(n, steps)
+    # a unit holds as many whole replicas as fit in a Gumbel block, one at
+    # least; with two or more, each replica is one block
+    per_unit = max(1, _GUMBEL_BLOCK_ELEMENTS // (steps * n))
+    unit = min(per_unit, replicas)
+    start = log_sum_exp(np.zeros(n), law.rate)  # ln N / rate, once
+
+    def run(i, x, tmp):
+        _gumbel_from_uniform(x, law.loc, law.rate)
+        phi = np.full(x.shape[0], start)
+        for j in range(0, steps, block):
+            if j:
+                phi = _row_log_sum_exps(x[:, j - 1], law.rate, tmp)
+            _gumbel_rows(x[:, j:j + block], phi, law.rate, tmp)
+        fronts = None
+        if rate is not None:
+            prev = x[:, -2] if steps > 1 else np.zeros((x.shape[0], n))
+            fronts = _row_log_sum_exps(prev, rate, tmp)
+        reduce(i, x[:, -1], fronts)
+
+    _draw_units(rng, replicas, (steps, n), per_unit, run,
+                scratch=unit * max(block - 1, 1) * n)
 
 
 def _run_fronts(law, steps, rng, front, positions):

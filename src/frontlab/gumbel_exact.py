@@ -11,13 +11,11 @@ psi_0(u) = -(pi/2)|u| - i u ln|u|.
 from __future__ import annotations
 
 import math
-import os
-import threading
 from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import _exponential_from_uniform
+from .noise import _draw_units, _exponential_from_uniform
 
 __all__ = [
     "upsilon_samples",
@@ -54,14 +52,6 @@ def _check_n(n_particles: int) -> int:
 _RECIP_BLOCK = 1 << 16
 
 
-def _cpus() -> int:
-    """CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity mask outside Linux
-        return os.cpu_count() or 1
-
-
 def _recip_sums(n_particles: int, n_samples: int,
                 rng: np.random.Generator) -> np.ndarray:
     """i.i.d. samples of sum_{i<=N} 1/E_i, E_i ~ Exp(1).
@@ -69,47 +59,21 @@ def _recip_sums(n_particles: int, n_samples: int,
     Each E_i = max(-ln(1 - U_i), 2^-54) comes from one float64 uniform U_i
     (the floor reads U_i = 0 as the middle of its cell). The samples are cut
     into blocks of whole rows, at least one row and about ``_RECIP_BLOCK``
-    elements. A worker claims the next block and fills its own reused buffer
-    with uniforms while holding a lock, so ``rng`` is read block by block in
-    order; it then transforms the buffer in place and sums it row by row in
-    float64, outside the lock. With two blocks or more and two CPUs or more,
-    a second worker runs on a thread that lives only for the call: numpy's
-    passes release the GIL, so one block's transform overlaps the next
-    block's draw. Block draws concatenate and each row is summed alone, so
-    the sums, and ``rng``'s state afterwards, do not depend on the block
-    length or on the number of workers. If a worker raises, the other stops
-    before its next block and the first exception is re-raised.
+    elements, and run on the draw pipeline of :func:`noise._draw_units`:
+    each block's uniforms are drawn in block order into a worker's reused
+    buffer, then transformed in place and summed row by row in float64
+    outside the lock, on up to two threads. Block draws concatenate and each
+    row is summed alone, so the sums, and ``rng``'s state afterwards, do not
+    depend on the block length or on the number of workers.
     """
-    rows = max(1, _RECIP_BLOCK // n_particles)
     out = np.empty(n_samples)
-    starts = iter(range(0, n_samples, rows))
-    lock = threading.Lock()
-    errors = []
 
-    def work():
-        buf = np.empty((min(rows, n_samples), n_particles))
-        try:
-            while True:
-                with lock:
-                    i = None if errors else next(starts, None)
-                    if i is None:
-                        return
-                    x = buf[:min(rows, n_samples - i)]
-                    rng.random(out=x)
-                np.reciprocal(_exponential_from_uniform(x), out=x)
-                x.sum(axis=1, out=out[i:i + x.shape[0]])
-        except BaseException as exc:  # re-raised by the caller
-            errors.append(exc)
+    def sums(i, x, _):
+        np.reciprocal(_exponential_from_uniform(x), out=x)
+        x.sum(axis=1, out=out[i:i + x.shape[0]])
 
-    helper = None
-    if n_samples > rows and _cpus() > 1:
-        helper = threading.Thread(target=work, name="frontlab-recip-sums")
-        helper.start()
-    work()
-    if helper is not None:
-        helper.join()
-    if errors:
-        raise errors[0]
+    _draw_units(rng, n_samples, (n_particles,),
+                max(1, _RECIP_BLOCK // n_particles), sums)
     return out
 
 

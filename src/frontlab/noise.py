@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import json
 import math
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -47,6 +49,74 @@ def _exponential_from_uniform(u: np.ndarray) -> np.ndarray:
     return np.maximum(u, _EXP_FLOOR, out=u)
 
 
+def _gumbel_from_uniform(u: np.ndarray, loc: float, rate: float
+                         ) -> np.ndarray:
+    """Map float64 uniforms in place to Gumbel(loc, 1/rate) draws,
+    loc - ln(E)/rate with E from :func:`_exponential_from_uniform`."""
+    g = _exponential_from_uniform(u)
+    np.log(g, out=g)
+    np.divide(g, -rate, out=g)
+    g += loc
+    return g
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity mask outside Linux
+        return os.cpu_count() or 1
+
+
+def _draw_units(rng: np.random.Generator, count: int, shape: tuple,
+                per_unit: int, finish, scratch: int = 0) -> None:
+    """Draw ``count`` rows of ``shape`` uniforms in order, a unit at a time.
+
+    The rows are cut into units of ``per_unit`` rows (the last may be
+    shorter). A worker claims the next unit and fills its own reused buffer
+    with uniforms while holding a lock, so ``rng`` is read unit by unit in
+    order, as one ``rng.random((count, *shape))`` would read it. Outside the
+    lock it calls ``finish(i, x, tmp)``: ``x`` is the buffer holding rows
+    i, i + 1, ... of the unit, and ``tmp`` the worker's own reused scratch
+    of ``scratch`` floats. With two units or more and two CPUs or more, a
+    second worker runs on a thread that lives only for the call: numpy's
+    passes release the GIL, so one unit's ``finish`` overlaps the next
+    unit's draw. ``finish`` must then be safe to run on that thread: it
+    writes only what belongs to its rows, and calls no public frontlab
+    function, whose tracing wrappers keep one call stack. If a worker
+    raises, the other stops before its next unit and the first exception
+    is re-raised.
+    """
+    starts = iter(range(0, count, per_unit))
+    lock = threading.Lock()
+    errors = []
+
+    def work():
+        buf = np.empty((min(per_unit, count), *shape))
+        tmp = np.empty(scratch)
+        try:
+            while True:
+                with lock:
+                    i = None if errors else next(starts, None)
+                    if i is None:
+                        return
+                    x = buf[:min(per_unit, count - i)]
+                    rng.random(out=x)
+                finish(i, x, tmp)
+        except BaseException as exc:  # re-raised by the caller
+            errors.append(exc)
+
+    helper = None
+    if count > per_unit and _cpus() > 1:
+        helper = threading.Thread(target=work, name="frontlab-draws")
+        helper.start()
+    work()
+    if helper is not None:
+        helper.join()
+    if errors:
+        raise errors[0]
+
+
 class NoiseLaw:
     """Interface shared by all jump laws."""
 
@@ -78,10 +148,8 @@ class GumbelLaw(NoiseLaw):
     def sample(self, rng, size=None):
         # loc - ln(E) / rate with E ~ Exp(1), one uniform per element, so a
         # block draws the same as its rows in order
-        g = _exponential_from_uniform(np.asarray(rng.random(size)))
-        np.log(g, out=g)
-        np.divide(g, -self.rate, out=g)
-        g += self.loc
+        g = _gumbel_from_uniform(np.asarray(rng.random(size)), self.loc,
+                                 self.rate)
         return float(g) if size is None else g
 
     def quantile(self, u):

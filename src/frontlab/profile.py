@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, gumbel_exact
-from .engine import ParticleState, initial_state, lse_front
+from .engine import ParticleState, lse_front
 from .noise import GumbelLaw, NoiseLaw
 
 __all__ = [
@@ -147,11 +147,14 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
     """Test k centered coordinates for the i.i.d. Gumbel limit law.
 
     Runs ``replicas`` independent systems for t steps, extracts
-    X_j(t) - Phi(X(t-1)) for the first k particles, and reports the
-    per-coordinate Kolmogorov distance to Gumbel(target_loc, 1/target_rate)
-    plus the largest pairwise sample correlation. Each replica steps through
-    :func:`engine.advance`, with the kernel :func:`engine._position_blocks`
-    picks for the law and N.
+    X_j(t) - Phi(X(t-1)) for the first k particles, Phi the log-sum-exp at
+    ``target_rate``, and reports the per-coordinate Kolmogorov distance to
+    Gumbel(target_loc, 1/target_rate) plus the largest pairwise sample
+    correlation. The replicas run through :func:`engine._replica_runs`:
+    under Gumbel noise several at a time on the exact kernel, on up to two
+    threads, and under other laws one at a time with the kernel
+    :func:`engine._position_blocks` picks; either way bit for bit what one
+    :func:`engine.advance` per replica gives.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -159,11 +162,13 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need replicas >= 2")
-    front = lse_front(target_rate)
+    rate = lse_front(target_rate).param  # refuses a rate lse cannot take
     sample = np.empty((replicas, k))
-    for r in range(replicas):
-        state = engine.advance(initial_state(n), law, rng, t, front=front)
-        sample[r] = state.positions[:k] - state.prev_front
+
+    def center(i, last, fronts):
+        sample[i:i + last.shape[0]] = last[:, :k] - fronts[:, None]
+
+    engine._replica_runs(law, n, t, replicas, rng, center, rate)
     # each column is already centered: a state at offset 0 carries it
     ks = np.array([centered_ks(ParticleState(sample[:, j], t, 0.0),
                                target_rate, target_loc)
@@ -246,12 +251,18 @@ def fluctuation_experiment(n_list, t: int, x: float,
     driven by the stable fluctuations of the t-1 front increments. The
     reference law is |u'(x)|/rate times a sum of t-1 independent centered
     reciprocal-sum variables at size ``ref_size``; both sides are summarized
-    by their quantiles at ``_LEVELS``.
+    by their quantiles at ``_LEVELS``. The replicas of each N run through
+    :func:`engine._replica_runs`, several at a time on the exact kernel and
+    on up to two threads, bit for bit what one :func:`engine.advance` per
+    replica gives.
     """
     if not isinstance(law, GumbelLaw):
         raise TypeError("fluctuation experiment requires Gumbel noise")
     if t < 1:
         raise ValueError("need t >= 1")
+    if replicas < 1 or ref_draws < 1:
+        raise ValueError(f"need replicas >= 1 and ref_draws >= 1, got "
+                         f"{replicas} and {ref_draws}")
     n_list = tuple(int(n) for n in n_list)
     levels = _LEVELS.copy()
     u_x = float(gumbel_wave(x, law.rate, law.loc))
@@ -263,12 +274,14 @@ def fluctuation_experiment(n_list, t: int, x: float,
         y = (x + (t - 1) * (law.loc + math.log(b) / law.rate)
              + math.log(n) / law.rate)
         stat = np.empty(replicas)
-        for r in range(replicas):
-            # only X(t) is read: skip advance's front of X(t-1) and its copy
-            for block in engine._position_blocks(
-                    law, t, rng, initial_state(n).positions):
-                last = block[-1]
-            stat[r] = math.log(n) * (np.mean(last > y) - u_x)
+
+        def height(i, last, _):
+            # U_N(t, y) counts the particles above y: 1.0 each, in place
+            np.greater(last, y, out=last)
+            stat[i:i + last.shape[0]] = math.log(n) * (
+                last.sum(axis=1) / n - u_x)
+
+        engine._replica_runs(law, n, t, replicas, rng, height)
         stat_q[row] = np.quantile(stat, levels)
 
     if t > 1:

@@ -144,21 +144,19 @@ def _gth(a: np.ndarray, deficit: np.ndarray) -> None:
         deficit[:k] += a[:k, k] * deficit[k]
 
 
-def _int_rows(p: np.ndarray, keep, b=None) -> tuple[list, list]:
+def _int_rows(p: np.ndarray, keep) -> tuple[list, list]:
     """Rows of the rational ``p[keep, keep]`` as int numerators over one
     denominator per row, the lcm of the row's denominators. Each row is
-    followed by its deficit, the mass of ``p[keep]`` outside ``keep``, and
-    then by its row of ``b``, whose entries must be integers."""
+    followed by its deficit, the mass of ``p[keep]`` outside ``keep``."""
     inside = set(keep)
     outside = [j for j in range(p.shape[1]) if j not in inside]
     rows, dens = [], []
-    for i, s in enumerate(keep):
+    for s in keep:
         # star-args from a list: a generator's argument tuple is resized,
         # and every resized tuple lands on CPython's tuple free list
         den = math.lcm(*[v.denominator for v in p[s]])
         nums = [v.numerator * (den // v.denominator) for v in p[s]]
-        rows.append([nums[j] for j in keep] + [sum(nums[j] for j in outside)]
-                    + ([] if b is None else [int(x) * den for x in b[i]]))
+        rows.append([nums[j] for j in keep] + [sum(nums[j] for j in outside)])
         dens.append(den)
     return rows, dens
 
@@ -167,8 +165,8 @@ def _gth_rows(rows: list) -> tuple[list, list]:
     """The elimination of ``_gth``, state by state in the same order, on
     the int rows of ``_int_rows``, in place.
 
-    Row k enters its elimination as k + 1 numerators (its self-loop last),
-    the deficit and any right-hand sides. Its pivot numerator is the sum
+    Row k enters its elimination as k + 1 numerators (its self-loop last)
+    and the deficit. Its pivot numerator is the sum
     S_k = deficit + rows[k][:k], so no step subtracts. Each row i < k drops
     column k and takes (S_k rows[i] + rows[i][k] rows[k]) / S_prev, where
     S_prev is the pivot numerator of the state eliminated before (1 for the
@@ -179,12 +177,13 @@ def _gth_rows(rows: list) -> tuple[list, list]:
     Row i then stands for ``rows[i] / (dens[i] * S_prev)``, one denominator
     per row, and state k's pivot is S_k / (dens[k] * S_prev). A float route
     would keep the same rows with a log scale per row in place of the
-    division. The right-hand sides ride along as columns, which is the
-    forward sweep of a first-step solve.
+    division.
 
     Returns the pivot numerators and, per state k, the numerators
-    ``rows[i][k]`` of the rows i < k at k's elimination. A zero pivot above
-    state 0 raises ZeroDivisionError.
+    ``rows[i][k]`` of the rows i < k at k's elimination. These replay the
+    row updates on any further int column, as if it had been eliminated
+    along (``_sweep_rows``). A zero pivot above state 0 raises
+    ZeroDivisionError.
     """
     pivots, columns = [0] * len(rows), [None] * len(rows)
     prev = 1
@@ -245,47 +244,73 @@ def _stationary_rows(p: np.ndarray) -> np.ndarray:
     return np.array([Fraction(v, total) for v in x], dtype=object)
 
 
-def _first_step(p: np.ndarray, keep, b) -> np.ndarray:
-    """Solve h = b + P[keep, keep] h, b >= 0, states outside ``keep``
-    absorbing; a first kept state never absorbed reads +inf in float, and
-    raises ZeroDivisionError for a rational ``p`` (object dtype)."""
+def _first_step(p: np.ndarray, keep):
+    """Eliminate the kept states once and return ``solve(b)``, which solves
+    h = b + P[keep, keep] h, b >= 0, states outside ``keep`` absorbing, for
+    any number of right-hand sides ``b`` on that one elimination. A first
+    kept state never absorbed reads +inf in float, and raises
+    ZeroDivisionError for a rational ``p`` (object dtype)."""
     if p.dtype == object:
-        return _first_step_rows(p, keep, b)
+        return _first_step_rows(p, keep)
     a = p[np.ix_(keep, keep)]
     _gth(a, np.delete(p[keep], keep, axis=1).sum(axis=1))
-    h = np.array(b, dtype=p.dtype)
-    for k in range(len(keep) - 1, 0, -1):
-        h[:k] += np.multiply.outer(a[:k, k], h[k])
-    with np.errstate(divide="ignore", over="ignore"):
-        for k in range(len(keep)):
-            nz = np.flatnonzero(a[k, :k])  # inf times 0 counts as 0
-            h[k] = (h[k] + a[k, nz] @ h[nz]) / a[k, k]
-    return h
+
+    def solve(b):
+        h = np.array(b, dtype=p.dtype)
+        for k in range(len(keep) - 1, 0, -1):
+            h[:k] += np.multiply.outer(a[:k, k], h[k])
+        with np.errstate(divide="ignore", over="ignore"):
+            for k in range(len(keep)):
+                nz = np.flatnonzero(a[k, :k])  # inf times 0 counts as 0
+                h[k] = (h[k] + a[k, nz] @ h[nz]) / a[k, k]
+        return h
+
+    return solve
 
 
-def _first_step_rows(p: np.ndarray, keep, b) -> np.ndarray:
+def _sweep_rows(r: list, pivots: list, columns: list) -> None:
+    """Replay ``_gth_rows``' row updates on the int columns ``r`` (one list
+    a row, on its row's scale), in place: the result is what the elimination
+    gives for columns it had carried along, division by S_prev exact."""
+    prev = 1
+    for k in range(len(r) - 1, -1, -1):
+        pivot, col, top = pivots[k], columns[k], r[k]
+        for i in range(k):
+            r[i] = [(pivot * x + col[i] * y) // prev
+                    for x, y in zip(r[i], top)]
+        prev = pivot
+
+
+def _first_step_rows(p: np.ndarray, keep):
     """``_first_step`` in integers. Column c of ``b``, times the lcm of
-    its denominators, enters ``_gth_rows`` as ints and comes out swept. Then
-    h_k = (b_k + sum_{j<k} a_kj h_j) / pivot_k reads row k alone, whose
-    denominator cancels against the pivot's: h_k = (rows[k][k + 2 + c] +
-    sum_j rows[k][j] h_j) / S_k. Each column of h is kept as numerators over
-    one scale."""
-    b = np.asarray(b, dtype=object)
-    rhs = b.reshape(len(keep), -1)
-    lcms = [math.lcm(*[v.denominator for v in col]) for col in rhs.T]
-    rows, _ = _int_rows(p, keep, rhs * lcms)
-    pivots, _ = _gth_rows(rows)
+    its denominators, is swept through the finished elimination as ints
+    (``_sweep_rows``). Then h_k = (b_k + sum_{j<k} a_kj h_j) / pivot_k reads
+    row k alone, whose denominator cancels against the pivot's: h_k =
+    (r_k + sum_j rows[k][j] h_j) / S_k, r_k the swept column. Each column of
+    h is kept as numerators over one scale."""
+    rows, dens = _int_rows(p, keep)
+    pivots, columns = _gth_rows(rows)
     if pivots[0] == 0:
         raise ZeroDivisionError("zero GTH pivot at state 0")
-    h = np.empty(rhs.shape, dtype=object)
-    for c, lcm in enumerate(lcms):
-        nums, scale = [], 1  # h[:, c] * lcm = nums / scale
-        for k, row in enumerate(rows):
-            top = row[k + 2 + c] * scale + sum(
-                r * x for r, x in zip(row[:k], nums))
-            nums, scale = _append_scaled(nums, scale, top, pivots[k])
-        h[:, c] = [Fraction(x, scale * lcm) for x in nums]
-    return h.reshape(b.shape)
+
+    def solve(b):
+        b = np.asarray(b, dtype=object)
+        rhs = b.reshape(len(keep), -1)
+        lcms = [math.lcm(*[v.denominator for v in col]) for col in rhs.T]
+        r = [[int(x * lcm) * den for x, lcm in zip(row, lcms)]
+             for row, den in zip(rhs, dens)]
+        _sweep_rows(r, pivots, columns)
+        h = np.empty(rhs.shape, dtype=object)
+        for c, lcm in enumerate(lcms):
+            nums, scale = [], 1  # h[:, c] * lcm = nums / scale
+            for k, row in enumerate(rows):
+                top = r[k][c] * scale + sum(
+                    v * x for v, x in zip(row[:k], nums))
+                nums, scale = _append_scaled(nums, scale, top, pivots[k])
+            h[:, c] = [Fraction(x, scale * lcm) for x in nums]
+        return h.reshape(b.shape)
+
+    return solve
 
 
 def _check_dense(n: int) -> None:
@@ -307,7 +332,7 @@ def _return_time(p: np.ndarray):
     Row 0 of the chain is row n, so E_0[T_0] = E_n[T_0] (counts n, ..., 1).
     """
     n = p.shape[0] - 1
-    return _first_step(p, np.arange(n, 0, -1), np.ones(n, int))[0]
+    return _first_step(p, np.arange(n, 0, -1))(np.ones(n, int))[0]
 
 
 def bernoulli_stationary(n: int, q, exact: bool = False):
@@ -441,10 +466,12 @@ def hitting_analysis(n: int, q, exact: bool = False) -> HittingReport:
     qv = parse_q(q, exact)
     p = bernoulli_matrix(n, qv, exact)
     # races from the interior to 0 and to n, a column each: u holds their
-    # chances, w their time-weighted masses, w = u + P[int, int] w
+    # chances, w their time-weighted masses, w = u + P[int, int] w; both
+    # are solved on one elimination of the interior
     interior = np.arange(n - 1, 0, -1)
-    u = _first_step(p, interior, p[np.ix_(interior, [0, n])])
-    w = _first_step(p, interior, u)
+    solve = _first_step(p, interior)
+    u = solve(p[np.ix_(interior, [0, n])])
+    w = solve(u)
     row, ends = p[n, interior], p[n, [0, n]]
     races = ends + row @ u
     prob, prob_top = races

@@ -19,3 +19,16 @@ class ZeroUniforms:
             return 0.0 if size is None else np.zeros(size)
         out.fill(0.0)
         return out
+
+
+class FailingUniforms:
+    """Generator stub that raises on its ``fail_at``-th random call."""
+
+    def __init__(self, fail_at):
+        self.rng, self.calls, self.fail_at = make_rng(13), 0, fail_at
+
+    def random(self, size=None, out=None):
+        self.calls += 1
+        if self.calls == self.fail_at:
+            raise MemoryError("planted")
+        return self.rng.random(size, out=out)

@@ -427,6 +427,10 @@ def test_bad_spec_json_exits_2(capsys):
      "rate must be positive"),
     (["gumbel", "--N", "10", "--samples", "100", "--a", "nan"],
      "loc must be finite"),
+    (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
+      "fluct", "--replicas", "0"], "replicas >= 1"),
+    (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
+      "fluct", "--ref-draws", "0"], "ref_draws >= 1"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
-from frontlab import gumbel_exact as gx
+from frontlab import gumbel_exact as gx, noise
 
-from conftest import ZeroUniforms, make_rng
+from conftest import FailingUniforms, ZeroUniforms, make_rng
 from stable_oracles import (constant_c_by_quadrature, psi_from_levy,
                             stable_reference_samples)
 
@@ -115,7 +115,7 @@ def serial_recip_sums(n, m, rng):
 def test_recip_sums_match_serial_loop(n, extra, cpus, monkeypatch):
     rows = max(1, gx._RECIP_BLOCK // n)
     m = 3 * rows + 2 if extra is None else rows + extra
-    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
     threads = threading.active_count()
     rng, ref_rng = make_rng(11), make_rng(11)
     np.testing.assert_array_equal(gx._recip_sums(n, m, rng),
@@ -136,8 +136,8 @@ def test_recip_sums_second_worker(cpus, m, started, monkeypatch):
             starts.append(self)
             super().start()
 
-    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
-    monkeypatch.setattr(gx.threading, "Thread", Counted)
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
+    monkeypatch.setattr(noise.threading, "Thread", Counted)
     gx._recip_sums(10_000, m, make_rng(12))
     assert len(starts) == started
     assert not any(t.is_alive() for t in starts)
@@ -147,7 +147,7 @@ def test_recip_sums_under_thread_stress(monkeypatch):
     # four concurrent calls, each with a helper thread, on 16-element blocks
     # and a short switch interval: a draw out of block order or a lost
     # write to out would change some row
-    monkeypatch.setattr(gx, "_cpus", lambda: 2)
+    monkeypatch.setattr(noise, "_cpus", lambda: 2)
     monkeypatch.setattr(gx, "_RECIP_BLOCK", 16)
     expected = [serial_recip_sums(7, 500, make_rng(s)) for s in range(4)]
     got = [None] * 4
@@ -171,22 +171,9 @@ def test_recip_sums_under_thread_stress(monkeypatch):
         np.testing.assert_array_equal(g, e)
 
 
-class FailingUniforms:
-    """Generator stub that raises on its ``fail_at``-th random call."""
-
-    def __init__(self, fail_at):
-        self.rng, self.calls, self.fail_at = make_rng(13), 0, fail_at
-
-    def random(self, size=None, out=None):
-        self.calls += 1
-        if self.calls == self.fail_at:
-            raise MemoryError("planted")
-        return self.rng.random(size, out=out)
-
-
 @pytest.mark.parametrize("cpus", [1, 2])
 def test_recip_sums_error_propagates(cpus, monkeypatch):
-    monkeypatch.setattr(gx, "_cpus", lambda: cpus)
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
     threads = threading.active_count()
     raised = []
 

@@ -1,10 +1,13 @@
+import inspect
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
 
-from frontlab import engine, gumbel_exact, profile
-from frontlab.engine import initial_state
+from frontlab import engine, gumbel_exact, noise, profile
+from frontlab.engine import initial_state, lse_front
 from frontlab.noise import BernoulliLaw, GumbelLaw, LatticeLaw, SandwichedGumbelLaw
 from frontlab.profile import (
     ProfileSample,
@@ -20,7 +23,7 @@ from frontlab.profile import (
     wave_derivative,
 )
 
-from conftest import make_rng
+from conftest import FailingUniforms, make_rng
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
 
@@ -202,6 +205,197 @@ def test_marginal_validation():
 
 
 # ---------------------------------------------------------------------------
+# replica route: several replicas a unit, on up to two threads, against one
+# engine.advance per replica
+
+
+def advance_replica_runs(law, n, steps, replicas, rng, reduce, rate=None):
+    """engine._replica_runs as a loop of engine.advance, one replica a call."""
+    front = lse_front(getattr(law, "rate", 1.0) if rate is None else rate)
+    for r in range(replicas):
+        state = engine.advance(initial_state(n), law, rng, steps, front=front)
+        reduce(r, state.positions[None].copy(),
+               None if rate is None else np.array([state.prev_front]))
+
+
+def recorded_runs(runs, law, n, steps, replicas, rng, rate=None):
+    """X(steps) and the fronts of X(steps - 1) of every replica, by index."""
+    last = np.full((replicas, n), np.nan)
+    fronts = np.full(replicas, np.nan)
+
+    def record(i, x, f):
+        last[i:i + x.shape[0]] = x
+        if f is not None:
+            fronts[i:i + x.shape[0]] = f
+
+    runs(law, n, steps, replicas, rng, record, rate)
+    return last, fronts
+
+
+REPLICA_CASES = [
+    # one block a replica, units of 109 replicas, the last unit short
+    pytest.param(GumbelLaw(), 300, 2, 250, 1.0, id="one-block"),
+    # blocks of 3 and 2 rows, one replica a unit, front at another rate
+    pytest.param(GumbelLaw(0.5, 2.0), 20_000, 5, 5, 1.5, id="two-blocks"),
+    # one-row blocks, one replica a unit
+    pytest.param(GumbelLaw(), 70_000, 3, 4, 1.0, id="one-row-blocks"),
+    # other laws run one replica after another on the calling thread
+    pytest.param(THREE_ATOM, 30, 3, 20, 1.0, id="lattice"),
+]
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("law,n,t,replicas,rate", REPLICA_CASES)
+def test_replica_runs_match_advance(law, n, t, replicas, rate, cpus,
+                                    monkeypatch):
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    for front_rate in (rate, None):
+        rng, ref_rng = make_rng(89), make_rng(89)
+        got = recorded_runs(engine._replica_runs, law, n, t, replicas, rng,
+                            front_rate)
+        want = recorded_runs(advance_replica_runs, law, n, t, replicas,
+                             ref_rng, front_rate)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
+        assert rng.random() == ref_rng.random()
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("law,n,t,replicas,rate", REPLICA_CASES)
+def test_marginal_replica_route_matches_advance(law, n, t, replicas, rate,
+                                                cpus, monkeypatch):
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
+    kw = dict(k=3, replicas=replicas, target_rate=rate)
+    rng, ref_rng = make_rng(97), make_rng(97)
+    got = marginal_gumbel_test(law, n, t, rng, **kw)
+    with monkeypatch.context() as m:
+        m.setattr(engine, "_replica_runs", advance_replica_runs)
+        want = marginal_gumbel_test(law, n, t, ref_rng, **kw)
+    np.testing.assert_array_equal(got.ks, want.ks)
+    assert got.max_corr == want.max_corr
+    assert rng.random() == ref_rng.random()
+
+
+def test_replica_route_runs_large_replicas_in_order(monkeypatch):
+    # a replica past _BLOCK_ELEMENTS floats runs block by block on the
+    # calling thread, with no helper thread, and gives the same numbers
+    monkeypatch.setattr(noise, "_cpus", lambda: 2)
+    want = recorded_runs(engine._replica_runs, GumbelLaw(), 300, 4, 20,
+                         make_rng(101), 1.0)
+    starts = []
+
+    class Counted(threading.Thread):
+        def start(self):
+            starts.append(self)
+            super().start()
+
+    monkeypatch.setattr(noise.threading, "Thread", Counted)
+    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 1000)
+    got = recorded_runs(engine._replica_runs, GumbelLaw(), 300, 4, 20,
+                        make_rng(101), 1.0)
+    assert starts == []
+    np.testing.assert_array_equal(got[0], want[0])
+    np.testing.assert_array_equal(got[1], want[1])
+
+
+def test_replica_route_under_thread_stress(monkeypatch):
+    # four concurrent calls, each with a helper thread, on units of one
+    # replica (blocks of two rows and one) and a short switch interval: a
+    # unit drawn out of order or a result written to another unit's rows
+    # would change some replica
+    monkeypatch.setattr(noise, "_cpus", lambda: 2)
+    monkeypatch.setattr(engine, "_GUMBEL_BLOCK_ELEMENTS", 16)
+    args = (GumbelLaw(), 7, 3, 200)
+    expected = [recorded_runs(advance_replica_runs, *args, make_rng(s), 1.0)
+                for s in range(4)]
+    got = [None] * 4
+
+    def call(s):
+        got[s] = recorded_runs(engine._replica_runs, *args, make_rng(s), 1.0)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=call, args=(s,), daemon=True)
+                   for s in range(4)]
+        for c in callers:
+            c.start()
+        for c in callers:
+            c.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(c.is_alive() for c in callers)
+    for g, e in zip(got, expected):
+        np.testing.assert_array_equal(g[0], e[0])
+        np.testing.assert_array_equal(g[1], e[1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("where", ["draw", "reduce"])
+def test_replica_route_error_propagates(cpus, where, monkeypatch):
+    # units of 21 replicas at N = 1000, t = 3: the third unit's draw fails,
+    # or the reducer fails on it
+    monkeypatch.setattr(noise, "_cpus", lambda: cpus)
+    threads = threading.active_count()
+    raised = []
+
+    def reduce(i, last, fronts):
+        if where == "reduce" and i >= 42:
+            raise MemoryError("planted")
+
+    rng = FailingUniforms(3) if where == "draw" else make_rng(13)
+
+    def call():
+        try:
+            engine._replica_runs(GumbelLaw(), 1000, 3, 100, rng, reduce, 1.0)
+        except MemoryError as exc:
+            raised.append(exc)
+
+    caller = threading.Thread(target=call, daemon=True)
+    caller.start()
+    caller.join(timeout=30)
+    assert not caller.is_alive(), "_replica_runs hung after a failure"
+    assert [str(e) for e in raised] == ["planted"]
+    assert threading.active_count() == threads
+
+
+def test_replica_route_calls_public_functions_on_the_calling_thread(
+        monkeypatch):
+    # a tracer wraps the public functions and the laws' sample and log_cdf
+    # with one span stack: no helper thread may call them
+    monkeypatch.setattr(noise, "_cpus", lambda: 2)
+    seen = []
+
+    def spy(fn):
+        def wrapper(*args, **kwargs):
+            seen.append(threading.current_thread())
+            return fn(*args, **kwargs)
+        return wrapper
+
+    mods = (noise, engine, gumbel_exact, profile)
+    spies = {id(obj): spy(obj) for mod in mods for obj in
+             (getattr(mod, name) for name in mod.__all__)
+             if inspect.isfunction(obj) and obj.__module__ == mod.__name__}
+    for mod in mods:  # where a module imported a function by name too
+        for attr, val in list(vars(mod).items()):
+            if id(val) in spies:
+                monkeypatch.setattr(mod, attr, spies[id(val)])
+    for law in (GumbelLaw, BernoulliLaw, LatticeLaw, SandwichedGumbelLaw):
+        for method in ("sample", "log_cdf"):
+            monkeypatch.setattr(law, method, spy(getattr(law, method)))
+    threads = threading.active_count()
+    # five units of 21 replicas; one replica a unit at N = 70 000
+    marginal_gumbel_test(GumbelLaw(), 1000, 3, make_rng(103), k=2,
+                         replicas=100)
+    fluctuation_experiment([1000, 70_000], 3, 0.0, make_rng(107),
+                           replicas=4, ref_size=100, ref_draws=10)
+    assert seen and set(seen) == {threading.current_thread()}
+    assert threading.active_count() == threads
+
+
+# ---------------------------------------------------------------------------
 # reaction term
 
 
@@ -288,14 +482,16 @@ def advance_stat_quantiles(n_list, t, x, rng, replicas, levels):
     return np.array(out)
 
 
-def test_fluctuation_stat_matches_advance():
-    # N = 50 steps in two-row blocks, N = 70 000 in one-row blocks
-    rep = fluctuation_experiment([50, 70_000], 3, 0.2, make_rng(83),
-                                 replicas=6, ref_size=100, ref_draws=10)
-    np.testing.assert_array_equal(
-        rep.stat_quantiles,
-        advance_stat_quantiles([50, 70_000], 3, 0.2, make_rng(83), 6,
-                               rep.levels))
+def test_fluctuation_stat_matches_advance(monkeypatch):
+    # N = 50 runs its six replicas in one unit of three-row blocks,
+    # N = 70 000 one replica a unit in one-row blocks
+    want = advance_stat_quantiles([50, 70_000], 3, 0.2, make_rng(83), 6,
+                                  profile._LEVELS)
+    for cpus in (1, 2):
+        monkeypatch.setattr(noise, "_cpus", lambda cpus=cpus: cpus)
+        rep = fluctuation_experiment([50, 70_000], 3, 0.2, make_rng(83),
+                                     replicas=6, ref_size=100, ref_draws=10)
+        np.testing.assert_array_equal(rep.stat_quantiles, want)
 
 
 def test_fluctuation_validation():
@@ -303,3 +499,10 @@ def test_fluctuation_validation():
         fluctuation_experiment([10], 2, 0.0, make_rng(0), law=BernoulliLaw(0.5))
     with pytest.raises(ValueError):
         fluctuation_experiment([10], 0, 0.0, make_rng(0))
+    # no replica, or no reference draw, has no quantiles: refused before
+    # any draw
+    for kw in ({"replicas": 0}, {"ref_draws": 0}, {"replicas": -1}):
+        rng = make_rng(0)
+        with pytest.raises(ValueError, match="replicas|ref_draws"):
+            fluctuation_experiment([10], 2, 0.0, rng, **kw)
+        assert rng.random() == make_rng(0).random()
