@@ -219,14 +219,6 @@ def _run_profile(args, seed):
     rng = _rng(seed)
     rate = law.rate if isinstance(law, GumbelLaw) else 1.0
     loc = law.loc if isinstance(law, GumbelLaw) else 0.0
-    if args.test == "reaction":
-        grid = np.linspace(-10.0, 10.0, 1001)
-        cells = [
-            {"rate": rate, "speed": speed,
-             "max_residual": float(np.max(np.abs(
-                 profile.traveling_wave_residual(rate, speed, grid))))}
-            for rate in (0.5, 1.0, 2.0) for speed in (0.5, 1.0, 2.0)]
-        return "json", {"test": "reaction", "cells": cells, "seed": seed}
     if args.test == "marginal":
         rep = profile.marginal_gumbel_test(law, args.n, args.t, rng,
                                            k=args.k, replicas=args.replicas,
@@ -424,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", type=int, default=3)
     p.add_argument("--grid", default="-6:12:0.05", metavar="A:B:STEP")
     p.add_argument("--replicas", type=int, default=200)
-    p.add_argument("--test", choices=["ks", "marginal", "fluct", "reaction"],
+    p.add_argument("--test", choices=["ks", "marginal", "fluct"],
                    default=None, help="omit to dump the profile CSV")
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--x", type=float, default=0.0)

@@ -32,7 +32,6 @@ __all__ = [
     "log_sum_exp",
     "ParticleState",
     "initial_state",
-    "step",
     "step_with_noise",
     "step_gumbel_exact",
     "step_conditional",
@@ -154,16 +153,6 @@ def initial_state(n: int, positions=None) -> ParticleState:
 def step_with_noise(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """One max-plus update with an explicit (N, N) noise matrix."""
     return (positions[None, :] + noise).max(axis=1)
-
-
-def step(state: ParticleState, law: NoiseLaw, rng: np.random.Generator,
-         front: FrontFunctional = MAX_FRONT) -> ParticleState:
-    """One Theta(N^2) step with fresh noise."""
-    n = state.positions.size
-    noise = law.sample(rng, (n, n))
-    return ParticleState(positions=step_with_noise(state.positions, noise),
-                         t=state.t + 1,
-                         prev_front=front(state.positions))
 
 
 def is_renewal(noise: np.ndarray, leader: int | np.ndarray = 0
@@ -571,6 +560,8 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     _check_batches(n_batches, t_run)
     if t_burn is None:
         t_burn = default_burn_in(n)
+    if t_burn < 0:
+        raise ValueError(f"t_burn must be >= 0, got {t_burn}")
     pos = initial_state(n, positions).positions
     if t_burn:
         _, pos = _run_fronts(law, t_burn, rng, front, pos)
@@ -641,6 +632,8 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
 
     The run steps through the kernels :func:`_position_blocks` picks.
     """
+    if t < 0:
+        raise ValueError(f"need t >= 0 steps, got {t}")
     if rng is None:
         rng = np.random.default_rng()
     pos = initial_state(n, positions).positions

@@ -26,8 +26,6 @@ __all__ = [
     "expansion_v",
     "expansion_sigma2",
     "constant_C",
-    "StableExponent",
-    "stable_exponent",
     "ScalingParams",
     "scaling_params",
     "normalized_increment_samples",
@@ -177,26 +175,6 @@ def _psi_zero(u: np.ndarray) -> np.ndarray:
     un = u[nz]
     out[nz] = -0.5 * math.pi * np.abs(un) - 1j * un * np.log(np.abs(un))
     return out
-
-
-@dataclass(frozen=True)
-class StableExponent:
-    """Characteristic exponents of the limiting index-1 stable law."""
-
-    C: float
-
-    def psi_centered(self, u) -> np.ndarray:
-        """psi_0(u) = -(pi/2)|u| - i u ln|u| (drift removed)."""
-        return _psi_zero(np.asarray(u, dtype=float))
-
-    def psi(self, u) -> np.ndarray:
-        """psi_C(u) = i C u + psi_0(u)."""
-        u = np.asarray(u, dtype=float)
-        return 1j * self.C * u + _psi_zero(u)
-
-
-def stable_exponent() -> StableExponent:
-    return StableExponent(C=constant_C())
 
 
 # ---------------------------------------------------------------------------

@@ -152,11 +152,6 @@ class GumbelLaw(NoiseLaw):
                                  self.rate)
         return float(g) if size is None else g
 
-    def quantile(self, u):
-        # inverse CDF; note the 1/rate on the double log
-        u = np.asarray(u, dtype=float)
-        return self.loc - np.log(np.log(1.0 / u)) / self.rate
-
     def log_cdf(self, x):
         x = np.asarray(x, dtype=float)
         return -np.exp(-self.rate * (x - self.loc))

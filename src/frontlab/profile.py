@@ -4,10 +4,9 @@ The empirical front profile is the survival function of the particle cloud,
 U(x) = N^{-1} #{i : X_i > x}. Centered on the previous log-sum-exp front
 value it approaches the wave u(x) = 1 - exp(-e^{-rate (x - loc)}); for
 Gumbel noise the centered positions are exactly i.i.d. Gumbel draws, so the
-comparison is a classical goodness-of-fit problem. The wave solves a
-semilinear front equation whose reaction term is evaluated here, and the
-profile's height fluctuations at a fixed abscissa follow (after ln N
-scaling) a sum of totally asymmetric stable increments.
+comparison is a classical goodness-of-fit problem. The profile's height
+fluctuations at a fixed abscissa follow (after ln N scaling) a sum of
+totally asymmetric stable increments.
 """
 from __future__ import annotations
 
@@ -25,13 +24,10 @@ __all__ = [
     "empirical_profile",
     "gumbel_wave",
     "wave_derivative",
-    "wave_curvature",
     "centered_ks",
     "conditional_tail",
     "MarginalReport",
     "marginal_gumbel_test",
-    "reaction_term",
-    "traveling_wave_residual",
     "FluctuationReport",
     "fluctuation_experiment",
 ]
@@ -62,6 +58,9 @@ class ProfileSample:
 def empirical_profile(state: ParticleState, grid,
                       center: float = 0.0) -> ProfileSample:
     """Fraction of particles strictly above center + grid, one sort total."""
+    if not math.isfinite(center):
+        raise ValueError(f"profile center must be finite, got {center}; a "
+                         f"state has a previous front only after a step")
     grid = np.asarray(grid, dtype=float)
     pos = np.sort(state.positions)
     n = pos.size
@@ -85,13 +84,6 @@ def wave_derivative(x, rate: float = 1.0, loc: float = 0.0) -> np.ndarray:
     """u'(x) = -rate w e^{-w} with w = e^{-rate (x - loc)}."""
     w = _wave_w(x, rate, loc)
     return -rate * w * np.exp(-w)
-
-
-def wave_curvature(x, rate: float = 1.0, loc: float = 0.0) -> np.ndarray:
-    """u''(x) = rate^2 w (1 - w) e^{-w}."""
-    w = _wave_w(x, rate, loc)
-    # group w e^{-w} first: w (1 - w) alone overflows at the clamp
-    return rate * rate * (w * np.exp(-w)) * (1.0 - w)
 
 
 def centered_ks(state: ParticleState, rate: float = 1.0,
@@ -180,45 +172,6 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
         max_corr = 0.0
     return MarginalReport(n=n, t=t, k=k, replicas=replicas, ks=ks,
                           max_corr=max_corr)
-
-
-# ---------------------------------------------------------------------------
-# reaction term and the traveling-wave identity
-
-
-def reaction_term(u, rate: float = 1.0, speed: float = 1.0) -> np.ndarray:
-    """Reaction A(u) = rate (1-u) w (rate w + speed - rate), w = ln 1/(1-u).
-
-    Defined on [0, 1] with A(0) = A(1) = 0; positive on (0,1) when
-    speed >= rate. Rejects arguments outside [0, 1].
-    """
-    u = np.asarray(u, dtype=float)
-    if np.any(u < 0.0) or np.any(u > 1.0):
-        raise ValueError("u must lie in [0, 1]")
-    out = np.zeros_like(u)
-    inner = (u > 0.0) & (u < 1.0)
-    ui = u[inner]
-    w = -np.log1p(-ui)
-    out[inner] = rate * (1.0 - ui) * w * (rate * w + speed - rate)
-    return out
-
-
-def traveling_wave_residual(rate: float, speed: float, grid=None,
-                            loc: float = 0.0) -> np.ndarray:
-    """Residual u'' + speed u' + A(u) of the wave profile on a grid.
-
-    The wave with decay ``rate`` solves the front equation for every wave
-    speed once A carries the matching (rate, speed) pair, so the residual
-    vanishes identically; this evaluates it through the public u, u', u''
-    and A routes as a floating-point identity check.
-    """
-    if grid is None:
-        grid = np.linspace(-10.0, 10.0, 1001)
-    grid = np.asarray(grid, dtype=float)
-    u = gumbel_wave(grid, rate, loc)
-    return (wave_curvature(grid, rate, loc)
-            + speed * wave_derivative(grid, rate, loc)
-            + reaction_term(u, rate, speed))
 
 
 # ---------------------------------------------------------------------------

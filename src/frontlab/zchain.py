@@ -59,7 +59,6 @@ __all__ = [
     "bernoulli_stationary",
     "bernoulli_speed",
     "expected_return_time",
-    "kac_residual",
     "HittingReport",
     "hitting_analysis",
     "bernoulli_chain_sim",
@@ -362,11 +361,6 @@ def _gap_routes(n: int, q, exact: bool):
     _check_dense(n)
     p = bernoulli_matrix(n, q, exact)
     return _leader_stationary(p)[0], _return_time(p)
-
-
-def kac_residual(n: int, q, exact: bool = False):
-    """|nu(0) E_0[T_0] - 1|; identically zero in exact arithmetic."""
-    return _kac_residual(*_gap_routes(n, q, exact))
 
 
 def _bernoulli_gap(n: int, q, exact: bool = False):

@@ -195,15 +195,6 @@ def test_profile_ks_json(capsys):
     assert obj["ks"] > 0.0
 
 
-def test_profile_reaction_grid(capsys):
-    code, out, _ = run(["profile", "--spec", GUMBEL, "--N", "2",
-                        "--test", "reaction"], capsys)
-    assert code == 0
-    cells = json.loads(out)["cells"]
-    assert len(cells) == 9
-    assert max(c["max_residual"] for c in cells) < 1e-8
-
-
 def test_profile_marginal_json(capsys):
     code, out, _ = run(["profile", "--spec", GUMBEL, "--N", "100", "--t", "2",
                         "--test", "marginal", "--k", "2",
@@ -272,6 +263,8 @@ def test_cell_streams_are_spawned_children(seed):
     ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5",
      "--samples", "100"],
     ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--u-grid=-2:2:1"],
+    # the wave's front-equation identity is a test oracle now
+    ["profile", "--spec", GUMBEL, "--N", "2", "--test", "reaction"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, out, _ = run(argv, capsys)
@@ -431,6 +424,13 @@ def test_bad_spec_json_exits_2(capsys):
       "fluct", "--replicas", "0"], "replicas >= 1"),
     (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
       "fluct", "--ref-draws", "0"], "ref_draws >= 1"),
+    # at t = 0 there is no previous front to center the profile on
+    (["profile", "--spec", GUMBEL, "--N", "10", "--t", "0"],
+     "center must be finite"),
+    (["speed", "--spec", BERN, "--N", "2", "--emit", "csv", "--horizon",
+      "-1"], "t >= 0"),
+    (["speed", "--spec", BERN, "--N", "2", "--burn", "-5"],
+     "t_burn must be >= 0"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

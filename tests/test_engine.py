@@ -17,7 +17,6 @@ from frontlab.engine import (
     lse_front,
     order_front,
     run_trajectory,
-    step,
     step_conditional,
     step_gumbel_exact,
     step_with_noise,
@@ -25,6 +24,7 @@ from frontlab.engine import (
 from frontlab.noise import BernoulliLaw, GumbelLaw, LatticeLaw, SandwichedGumbelLaw
 
 from conftest import make_rng
+from engine_oracles import step
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
 
@@ -409,6 +409,16 @@ def test_run_trajectory_max_front_between_bounds(rng):
     np.testing.assert_allclose(table[:, 4], gaps)
 
 
+def test_negative_step_counts_are_refused(rng):
+    law = BernoulliLaw(0.5)
+    with pytest.raises(ValueError, match="t >= 0"):
+        run_trajectory(law, 2, -1, rng)
+    with pytest.raises(ValueError, match="t_burn must be >= 0"):
+        engine.estimate_speed(law, 2, t_burn=-5, rng=rng)
+    # zero steps leave the t = 0 row alone
+    assert run_trajectory(law, 2, 0, rng).shape == (1, 5)
+
+
 # ---------------------------------------------------------------------------
 # the block-wise stepping core
 
@@ -467,7 +477,7 @@ def test_full_step_core_is_the_per_step_loop(law, n, front):
 
 
 def full_step_positions(law, n, t, rng):
-    # the O(N^2) recursion, one engine.step call per step
+    # the O(N^2) recursion, one reference step per call
     state = initial_state(n)
     out = np.empty((t, n))
     for i in range(t):

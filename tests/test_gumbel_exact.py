@@ -249,9 +249,8 @@ def test_constant_c_is_one_minus_gamma():
 
 
 def test_psi_zero_shape():
-    exp = gx.stable_exponent()
     u = np.array([-2.0, -0.5, 0.0, 0.5, 2.0])
-    psi0 = exp.psi_centered(u)
+    psi0 = gx._psi_zero(u)
     np.testing.assert_allclose(psi0.real, -0.5 * math.pi * np.abs(u))
     np.testing.assert_allclose(psi0.imag, -u * np.log(np.abs(np.where(
         u == 0, 1.0, u * np.sign(u)))), atol=1e-15)
@@ -259,11 +258,11 @@ def test_psi_zero_shape():
 
 
 def test_psi_from_levy_matches_closed_form():
-    exp = gx.stable_exponent()
-    for u in (-1.5, -0.25, 0.5, 1.0, 2.0):
-        got = psi_from_levy(u)
-        want = complex(exp.psi(u))
-        assert got == pytest.approx(want, abs=1e-8)
+    # psi_C = i C u + psi_0; cf_distance's target is exp(psi_0)
+    u = np.array([-1.5, -0.25, 0.5, 1.0, 2.0])
+    want = 1j * gx.constant_C() * u + gx._psi_zero(u)
+    for ui, wi in zip(u, want):
+        assert psi_from_levy(ui) == pytest.approx(complex(wi), abs=1e-8)
     assert psi_from_levy(0.0) == 0.0
 
 

@@ -1,7 +1,10 @@
 """What importing frontlab gives: every name its modules export, and no
 scipy until a call needs it."""
 
+import ast
 import importlib
+import importlib.util
+import inspect
 import os
 import pkgutil
 import subprocess
@@ -62,3 +65,41 @@ def test_every_exported_name_exists(module):
     mod = importlib.import_module(f"frontlab.{module}")
     assert [name for name in getattr(mod, "__all__", ())
             if not hasattr(mod, name)] == []
+
+
+def traced_names() -> list[str]:
+    """The names bench/tracing.py reads spans or counts of: its name
+    tuples, its INFO keys and the literal names its metrics total."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    names = {*tracing.STEP_SPANS, *tracing.HOT, *tracing.EXACT_SOLVES,
+             *tracing.INFO}
+    for node in ast.walk(ast.parse(path.read_text())):
+        if (isinstance(node, ast.Call)
+                and getattr(node.func, "id", None) == "total"
+                and isinstance(node.args[0], ast.Constant)):
+            names.add(node.args[0].value)
+    return sorted(names)
+
+
+def test_bench_traced_names_are_exported():
+    # the tracer wraps only what __all__ lists, so a traced name that
+    # leaves __all__ or its module reads as an empty metric, not an error
+    names = traced_names()
+    assert "profile.centered_ks" in names
+    lost = []
+    for name in names:
+        module, attr, *method = name.split(".")
+        mod = importlib.import_module(f"frontlab.{module}")
+        obj = getattr(mod, attr, None)
+        if attr not in mod.__all__ or obj is None:
+            lost.append(name)
+        elif method:                       # noise.<Law>.sample / log_cdf
+            if not inspect.isfunction(vars(obj).get(method[0])):
+                lost.append(name)
+        elif not (inspect.isfunction(inspect.unwrap(obj))
+                  and obj.__module__ == mod.__name__):
+            lost.append(name)
+    assert lost == []

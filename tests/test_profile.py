@@ -17,13 +17,11 @@ from frontlab.profile import (
     fluctuation_experiment,
     gumbel_wave,
     marginal_gumbel_test,
-    reaction_term,
-    traveling_wave_residual,
-    wave_curvature,
     wave_derivative,
 )
 
 from conftest import FailingUniforms, make_rng
+from wave_oracles import reaction_term, traveling_wave_residual, wave_curvature
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
 
@@ -58,6 +56,14 @@ def test_empirical_profile_counts_strictly_above():
     state = engine.ParticleState(np.array([0.0, 0.0, 1.0]), t=1, prev_front=0.0)
     prof = empirical_profile(state, [0.0, 1.0])
     np.testing.assert_allclose(prof.values, [1 / 3, 0.0])
+
+
+def test_empirical_profile_refuses_a_nonfinite_center():
+    # a state at t = 0 carries prev_front = nan: no front to center on
+    state = initial_state(3)
+    for center in (state.prev_front, math.inf):
+        with pytest.raises(ValueError, match="center must be finite"):
+            empirical_profile(state, [0.0, 1.0], center=center)
 
 
 def test_profile_sample_validation():
@@ -107,7 +113,7 @@ def test_wave_derivatives_match_finite_differences(rate, loc):
 
 def test_wave_far_left_is_finite():
     # the clamp keeps the w -> inf regime from overflowing
-    for f in (gumbel_wave, wave_derivative, wave_curvature):
+    for f in (gumbel_wave, wave_derivative):
         out = f(np.array([-800.0, -1200.0]))
         assert np.all(np.isfinite(out))
     assert gumbel_wave(-800.0) == 1.0
@@ -396,7 +402,7 @@ def test_replica_route_calls_public_functions_on_the_calling_thread(
 
 
 # ---------------------------------------------------------------------------
-# reaction term
+# the front equation, through the reaction term of tests/wave_oracles.py
 
 
 def test_reaction_endpoints_exact():
@@ -415,13 +421,6 @@ def test_reaction_positive_when_speed_dominates():
     u = np.linspace(1e-6, 1 - 1e-9, 500)
     for rate, speed in ((1.0, 1.0), (0.5, 1.0), (2.0, 2.0)):
         assert np.all(reaction_term(u, rate, speed) > 0.0)
-
-
-def test_reaction_rejects_out_of_range():
-    with pytest.raises(ValueError):
-        reaction_term(np.array([-0.1]))
-    with pytest.raises(ValueError):
-        reaction_term(np.array([1.1]))
 
 
 def test_traveling_wave_residual_small():

@@ -16,7 +16,6 @@ from frontlab.zchain import (
     expected_return_time,
     gap_speed_prediction,
     hitting_analysis,
-    kac_residual,
     lattice_chain_sim,
     lattice_s,
     lattice_speed,
@@ -33,6 +32,12 @@ THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
 
 def two_point(q: float) -> LatticeLaw:
     return LatticeLaw(top=0, atoms=((0, 1.0 - q), (-1, q)))
+
+
+def kac_residual(n, q, exact=False):
+    """|nu(0) E_0[T_0] - 1|, the check bernoulli_speed runs on its two
+    eliminations."""
+    return zchain._kac_residual(*zchain._gap_routes(n, q, exact))
 
 
 # ---------------------------------------------------------------------------
