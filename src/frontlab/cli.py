@@ -32,6 +32,9 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
+# the speed options only the estimate reads, at their parser defaults
+_ESTIMATE_OPTIONS = {"burn": None, "method": "batch", "renewals": 200}
+
 _FRONTS = {
     "max": lambda p: engine.MAX_FRONT,
     "min": lambda p: engine.MIN_FRONT,
@@ -77,6 +80,11 @@ def _run_speed(args, seed):
     rng = _rng(seed)
     front = _FRONTS[args.front](args.front_param)
     if args.emit == "csv":
+        ignored = [f"--{key}" for key, default in _ESTIMATE_OPTIONS.items()
+                   if getattr(args, key) != default]
+        if ignored:
+            raise ValueError(f"{', '.join(ignored)} set the speed estimate; "
+                             f"--emit csv dumps the trajectory")
         table = engine.run_trajectory(law, args.n, args.horizon, rng,
                                       front=front)
         rows = [[int(r[0])] + [_fmt(v) for v in r[1:]] for r in table]
@@ -282,6 +290,10 @@ def _run_sweep(args, seed):
         raise ValueError("need at least one --N")
     if not args.q_list:
         raise ValueError("zchain sweep needs at least one --q")
+    if args.workers < 1:
+        raise ValueError(f"need --workers >= 1, got {args.workers}")
+    # every cell's chain simulation would refuse these steps
+    engine._check_batches(zchain._SIM_BATCHES, args.steps)
     cells = [(n, q) for n in args.n_list for q in args.q_list]
     header = ["N", "q", "v_exact", "v_sim", "se", "ratio_to_asymptotic",
               "status"]

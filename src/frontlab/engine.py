@@ -20,6 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import noise
 from .noise import (GumbelLaw, LatticeLaw, BernoulliLaw, NoiseLaw,
                     _draw_units, _gumbel_from_uniform)
 
@@ -46,29 +47,22 @@ __all__ = [
 ]
 
 
-def _exp_sums(rows: np.ndarray, rate: float, tmp: np.ndarray):
-    """Maxima m over the last axis of ``rows`` and the sums of
-    e^{rate (x - m)}, through the scratch ``tmp`` of ``rows.size`` floats
-    or more: no temporary per operation."""
+def _log_sum_exps(rows: np.ndarray, rate: float,
+                  tmp: np.ndarray | None = None) -> np.ndarray:
+    """Stable m + ln(sum e^{rate (x - m)}) / rate over the last axis of
+    ``rows``, m the max, through the scratch ``tmp`` of ``rows.size`` floats
+    or more (a new buffer if None): frontlab's one log-sum-exp."""
     m = rows.max(axis=-1)
-    buf = tmp[:rows.size].reshape(rows.shape)
+    buf = (np.empty(rows.shape) if tmp is None
+           else tmp[:rows.size].reshape(rows.shape))
     np.subtract(rows, m[..., None], out=buf)
     buf *= rate
-    return m, np.exp(buf, out=buf).sum(axis=-1)
+    return m + np.log(np.exp(buf, out=buf).sum(axis=-1)) / rate
 
 
 def log_sum_exp(positions: np.ndarray, rate: float = 1.0) -> float:
     """Stable m + ln(sum e^{rate (x_i - m)}) / rate, m = max(x)."""
-    m, total = _exp_sums(positions, rate, np.empty(positions.size))
-    return float(m) + math.log(total) / rate
-
-
-def _row_log_sum_exps(rows: np.ndarray, rate: float,
-                      tmp: np.ndarray) -> np.ndarray:
-    """:func:`log_sum_exp` of each row of a (R, N) block, bit for bit (one
-    scalar ``math.log`` a row), through the scratch ``tmp``."""
-    m, total = _exp_sums(rows, rate, tmp)
-    return m + np.array([math.log(v) for v in total]) / rate
+    return float(_log_sum_exps(positions[None], rate)[0])
 
 
 @dataclass(frozen=True)
@@ -96,24 +90,17 @@ class FrontFunctional:
                              f"{self.param!r}")
 
     def __call__(self, positions: np.ndarray) -> float:
-        if self.kind == "lse":
-            return log_sum_exp(positions, self.param)
         return float(self.rows(positions[None])[0])
 
     def rows(self, positions: np.ndarray) -> np.ndarray:
-        """The front of each row of a (T, N) block of configurations.
-
-        Equals ``self(row)`` row by row: exactly for max, min and order; lse
-        may differ in the last few ulp (vectorized log and row sums).
-        """
+        """The front of each row of a (T, N) block of configurations, bit
+        for bit ``self(row)`` row by row."""
         if self.kind == "max":
             return positions.max(axis=1)
         if self.kind == "min":
             return positions.min(axis=1)
         if self.kind == "lse":
-            m, total = _exp_sums(positions, self.param,
-                                 np.empty(positions.size))
-            return m + np.log(total) / self.param
+            return _log_sum_exps(positions, self.param)
         rank = int(self.param)
         if rank > positions.shape[1]:
             raise ValueError(f"rank {rank} exceeds N={positions.shape[1]}")
@@ -319,15 +306,11 @@ def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
         n_blocks=n_batches, method="batch_means")
 
 
-# One block of pre-drawn noise, with its scan temporaries, holds at most this
-# many floats. Above N = _SCAN_MAX_N the per-step loop beats the chunked scan:
-# on a 2-core x86 box with numpy 2.4.6 the scan took 4 us a step at N = 12
-# against 5-6 us for the loop, and they were even at N = 14.
-_BLOCK_ELEMENTS = 4_000_000
+# One block of pre-drawn noise, with its scan temporaries, holds at most
+# noise._BLOCK_ELEMENTS floats. Above N = _SCAN_MAX_N the per-step loop beats
+# the chunked scan: on a 2-core x86 box with numpy 2.4.6 the scan took 4 us a
+# step at N = 12 against 5-6 us for the loop, and they were even at N = 14.
 _SCAN_MAX_N = 12
-# Gumbel blocks hold at most this many floats (one row at least), as
-# _recip_sums' buffer does: at N = 10^5, t = 3, whole blocks were ~10% slower.
-_GUMBEL_BLOCK_ELEMENTS = 1 << 16
 # Above this N continuous laws other than the Gumbel take step_conditional:
 # sandwiched +-0.3, ms a step full vs conditional, 2.7 vs 5.7 at N = 256,
 # 6.0 vs 5.7 at 384, 8.1 vs 4.3 at 512 (same box)
@@ -355,12 +338,13 @@ def _full_step_elements(n: int, b: int) -> int:
 
 def _full_block(n: int, steps: int) -> int:
     """Steps per block of full steps: up to ``steps``, within the bound."""
-    b = max(1, min(steps, _BLOCK_ELEMENTS // (n * n)))
+    bound = noise._BLOCK_ELEMENTS
+    b = max(1, min(steps, bound // (n * n)))
     used = _full_step_elements(n, b)
-    while b > 1 and used > _BLOCK_ELEMENTS:
+    while b > 1 and used > bound:
         # used / b falls as b grows, so scaling b by bound / used leaves it
         # at or above the size that fits: the loop closes in from above
-        b = max(1, min(b - 1, b * _BLOCK_ELEMENTS // used))
+        b = max(1, min(b - 1, b * bound // used))
         used = _full_step_elements(n, b)
     return b
 
@@ -418,8 +402,9 @@ def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
 
 
 def _gumbel_block(n: int, steps: int) -> int:
-    """Rows per block of the exact Gumbel kernel over ``steps`` steps."""
-    return max(1, min(steps, _GUMBEL_BLOCK_ELEMENTS // n))
+    """Rows per block of the exact Gumbel kernel over ``steps`` steps: as
+    many as a draw unit of ``noise._UNIT_ELEMENTS`` floats holds."""
+    return max(1, min(steps, noise._UNIT_ELEMENTS // n))
 
 
 def _gumbel_rows(fresh: np.ndarray, start: np.ndarray, rate: float,
@@ -430,13 +415,12 @@ def _gumbel_rows(fresh: np.ndarray, start: np.ndarray, rate: float,
     at noise rate ``rate``, and ``start[r]`` the log-sum-exp Phi_0 of its
     positions before the block. Row s becomes its positions Phi_{s-1} + G_s,
     with Phi_s = Phi_{s-1} + Phi(G_s) by one cumsum over the block, Phi the
-    log-sum-exp at ``rate`` (vectorized log). ``tmp`` is scratch of
-    R (b - 1) N floats or more.
+    log-sum-exp at ``rate``. ``tmp`` is scratch of R (b - 1) N floats or
+    more.
     """
-    head = fresh[:, :-1]
-    m, total = _exp_sums(head, rate, tmp)
     offsets = np.zeros(fresh.shape[:2])
-    np.cumsum(m + np.log(total) / rate, axis=1, out=offsets[:, 1:])
+    np.cumsum(_log_sum_exps(fresh[:, :-1], rate, tmp), axis=1,
+              out=offsets[:, 1:])
     offsets += start[:, None]
     fresh += offsets[..., None]
 
@@ -456,9 +440,9 @@ def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
     n = positions.size
     if isinstance(law, GumbelLaw):
         block = _gumbel_block(n, steps)
-        tmp = np.empty((block - 1) * n)
+        tmp = np.empty(max(block - 1, 1) * n)
         for fresh in _noise_blocks(law, (n,), steps, block, rng):
-            start = np.array([log_sum_exp(positions, law.rate)])
+            start = _log_sum_exps(positions[None], law.rate, tmp)
             _gumbel_rows(fresh[None], start, law.rate, tmp)
             positions = fresh[-1]
             yield fresh
@@ -490,26 +474,23 @@ def _replica_runs(law: NoiseLaw, n: int, steps: int, replicas: int,
     replica gives, and ``rng`` ends in the same state.
 
     Gumbel noise runs on the draw pipeline of :func:`noise._draw_units` when
-    a replica's steps N floats fit in ``_BLOCK_ELEMENTS``: a unit is one
-    replica, or as many as fit in ``_GUMBEL_BLOCK_ELEMENTS`` floats, and it
-    runs the blocks of :func:`_gumbel_rows` vectorized over its replicas, on
-    up to two threads. So ``reduce`` may run on a helper thread, on its own
-    replicas, and must call no public frontlab function. Other laws, and
-    larger Gumbel replicas, run one replica after another on the calling
-    thread.
+    a replica's steps N floats fit in ``noise._BLOCK_ELEMENTS``: a unit is
+    one replica, or as many as fit in ``noise._UNIT_ELEMENTS`` floats (each
+    one block), and it runs the blocks of :func:`_gumbel_rows` vectorized
+    over its replicas, on up to two threads.
+    So ``reduce`` may run on a helper thread, on its own replicas, and must
+    call no public frontlab function. Other laws, and larger Gumbel
+    replicas, run one replica after another on the calling thread.
     """
-    if not (isinstance(law, GumbelLaw) and steps * n <= _BLOCK_ELEMENTS):
+    if not (isinstance(law, GumbelLaw)
+            and steps * n <= noise._BLOCK_ELEMENTS):
         zeros = np.zeros(n)
         for r in range(replicas):
             prev, last = _last_two(law, steps, rng, zeros)
-            reduce(r, last[None], None if rate is None
-                   else np.array([log_sum_exp(prev, rate)]))
+            reduce(r, last[None],
+                   None if rate is None else _log_sum_exps(prev[None], rate))
         return
     block = _gumbel_block(n, steps)
-    # a unit holds as many whole replicas as fit in a Gumbel block, one at
-    # least; with two or more, each replica is one block
-    per_unit = max(1, _GUMBEL_BLOCK_ELEMENTS // (steps * n))
-    unit = min(per_unit, replicas)
     start = log_sum_exp(np.zeros(n), law.rate)  # ln N / rate, once
 
     def run(i, x, tmp):
@@ -517,27 +498,16 @@ def _replica_runs(law: NoiseLaw, n: int, steps: int, replicas: int,
         phi = np.full(x.shape[0], start)
         for j in range(0, steps, block):
             if j:
-                phi = _row_log_sum_exps(x[:, j - 1], law.rate, tmp)
+                phi = _log_sum_exps(x[:, j - 1], law.rate, tmp)
             _gumbel_rows(x[:, j:j + block], phi, law.rate, tmp)
         fronts = None
         if rate is not None:
             prev = x[:, -2] if steps > 1 else np.zeros((x.shape[0], n))
-            fronts = _row_log_sum_exps(prev, rate, tmp)
+            fronts = _log_sum_exps(prev, rate, tmp)
         reduce(i, x[:, -1], fronts)
 
-    _draw_units(rng, replicas, (steps, n), per_unit, run,
-                scratch=unit * max(block - 1, 1) * n)
-
-
-def _run_fronts(law, steps, rng, front, positions):
-    """Run ``steps`` steps, returning the front value after each."""
-    fronts = np.empty(steps)
-    i = 0
-    for block in _position_blocks(law, steps, rng, positions):
-        fronts[i:i + block.shape[0]] = front.rows(block)
-        i += block.shape[0]
-        positions = block[-1].copy()  # do not pin the whole block
-    return fronts, positions
+    _draw_units(rng, replicas, (steps, n), run,
+                scratch=max(block - 1, 1) * n)
 
 
 def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
@@ -564,10 +534,10 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         raise ValueError(f"t_burn must be >= 0, got {t_burn}")
     pos = initial_state(n, positions).positions
     if t_burn:
-        _, pos = _run_fronts(law, t_burn, rng, front, pos)
-    f0 = front(pos)
-    fronts, _ = _run_fronts(law, t_run, rng, front, pos)
-    return batch_means(np.concatenate(([f0], fronts)), n_batches)
+        # a copy, so that the burn-in's last block is not kept alive
+        pos = _last_two(law, t_burn, rng, pos)[1].copy()
+    fronts = [front.rows(b) for b in _position_blocks(law, t_run, rng, pos)]
+    return batch_means(np.concatenate(([front(pos)], *fronts)), n_batches)
 
 
 def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,

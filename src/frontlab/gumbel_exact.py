@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .noise import _draw_units, _exponential_from_uniform
+from .noise import _BLOCK_ELEMENTS, _draw_units, _exponential_from_uniform
 
 __all__ = [
     "upsilon_samples",
@@ -45,24 +45,19 @@ def _check_n(n_particles: int) -> int:
     return n_particles
 
 
-# elements per block of _recip_sums: 2^16 float64s, 512 KiB, stay in cache
-# through the in-place passes
-_RECIP_BLOCK = 1 << 16
-
-
 def _recip_sums(n_particles: int, n_samples: int,
                 rng: np.random.Generator) -> np.ndarray:
     """i.i.d. samples of sum_{i<=N} 1/E_i, E_i ~ Exp(1).
 
     Each E_i = max(-ln(1 - U_i), 2^-54) comes from one float64 uniform U_i
-    (the floor reads U_i = 0 as the middle of its cell). The samples are cut
-    into blocks of whole rows, at least one row and about ``_RECIP_BLOCK``
-    elements, and run on the draw pipeline of :func:`noise._draw_units`:
-    each block's uniforms are drawn in block order into a worker's reused
-    buffer, then transformed in place and summed row by row in float64
-    outside the lock, on up to two threads. Block draws concatenate and each
-    row is summed alone, so the sums, and ``rng``'s state afterwards, do not
-    depend on the block length or on the number of workers.
+    (the floor reads U_i = 0 as the middle of its cell). The samples run on
+    the draw pipeline of :func:`noise._draw_units`, in its units of whole
+    rows (``noise._UNIT_ELEMENTS`` floats, one row at least): each unit's
+    uniforms are drawn in unit order into a worker's reused buffer, then
+    transformed in place and summed row by row in float64 outside the lock,
+    on up to two threads. Unit draws concatenate and each row is summed
+    alone, so the sums, and ``rng``'s state afterwards, do not depend on the
+    unit length or on the number of workers.
     """
     out = np.empty(n_samples)
 
@@ -70,8 +65,7 @@ def _recip_sums(n_particles: int, n_samples: int,
         np.reciprocal(_exponential_from_uniform(x), out=x)
         x.sum(axis=1, out=out[i:i + x.shape[0]])
 
-    _draw_units(rng, n_samples, (n_particles,),
-                max(1, _RECIP_BLOCK // n_particles), sums)
+    _draw_units(rng, n_samples, (n_particles,), sums)
     return out
 
 
@@ -229,7 +223,7 @@ def empirical_cf(samples: np.ndarray, u_grid) -> np.ndarray:
         raise ValueError("empirical cf needs at least one sample")
     u = np.asarray(u_grid, dtype=float)
     out = np.zeros(u.shape, dtype=complex)
-    chunk = max(1, 4_000_000 // max(u.size, 1))
+    chunk = max(1, _BLOCK_ELEMENTS // max(u.size, 1))
     for i in range(0, samples.size, chunk):
         x = samples[i:i + chunk]
         out += np.exp(1j * np.outer(u, x)).sum(axis=1)

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import engine, gumbel_exact
 from .engine import ParticleState, lse_front
-from .noise import GumbelLaw, NoiseLaw
+from .noise import _BLOCK_ELEMENTS, GumbelLaw, NoiseLaw
 
 __all__ = [
     "ProfileSample",
@@ -111,7 +111,7 @@ def conditional_tail(state: ParticleState, law: NoiseLaw, x) -> np.ndarray:
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty_like(x)
-    chunk = max(1, 4_000_000 // max(state.positions.size, 1))
+    chunk = max(1, _BLOCK_ELEMENTS // max(state.positions.size, 1))
     for lo in range(0, x.size, chunk):
         block = x[lo:lo + chunk, None] - state.positions[None, :]
         out[lo:lo + chunk] = -np.expm1(law.log_cdf(block).sum(axis=1))

@@ -75,9 +75,12 @@ __all__ = [
 
 _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
+_SIM_BATCHES = 32      # batch-means batches of the chain simulations
 _SIM_BLOCK = 1 << 12   # uniforms per block draw of the chain simulation
 _BOUNDARY_TOL = 1e-12  # largest stationary mass on the lumped bottom slot
-_MAX_STATES = 200_000  # largest depth-chain state space lattice_speed builds
+# largest depth-chain state space lattice_speed solves: its dense solve
+# holds two (states, states) float64 matrices, 2 x 134 MB at this cap
+_MAX_STATES = 4096
 _WIDENINGS = 3         # window doublings lattice_speed may take
 
 
@@ -401,7 +404,7 @@ def _bernoulli_counts(n: int, q, steps: int,
 
 
 def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
-                        n_batches: int = 32) -> SpeedEstimate:
+                        n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated chain speed: fraction of steps whose new count is >= 1.
 
     The chain runs as an inverse-CDF walk on the float transition rows that
@@ -642,8 +645,9 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
                 j = index.get(key)
                 if j is None:
                     if len(states) >= max_states:
-                        raise RuntimeError(f"windowed state space exceeds "
-                                           f"{max_states} states")
+                        raise RuntimeError(
+                            f"windowed state space exceeds {max_states} "
+                            f"states, the dense stationary solve's bound")
                     j = index[key] = len(states)
                     target = np.frombuffer(key, dtype=np.int64)
                     states.append(tuple(target.tolist()))
@@ -714,7 +718,7 @@ def lattice_speed(law: LatticeLaw, n: int,
 
 def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
                       rng: np.random.Generator, window: int = 16,
-                      n_batches: int = 32) -> SpeedEstimate:
+                      n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated depth-chain speed: batch means of leader displacements.
 
     Draws the same multinomials as a ``lattice_step`` loop, but keeps each

@@ -305,6 +305,21 @@ def test_sweep_partial_failure_exits_4(capsys):
     assert any(s.startswith("failed:") for s in status)
 
 
+def test_sweep_refuses_steps_before_any_cell_runs(monkeypatch, capsys):
+    # the message is the chain simulation's own, as zchain prints it
+    def no_cell(*args):
+        raise AssertionError("a sweep cell ran")
+
+    monkeypatch.setattr(cli, "_sweep_cell", no_cell)
+    code, _, err = run(["zchain", "--N", "2", "--q", "0.5", "--steps", "20"],
+                       capsys)
+    assert code == 2
+    code, out, sweep_err = run(["sweep", "--task", "zchain", "--N", "2",
+                                "--q", "0.5", "--steps", "20", "--workers",
+                                "1"], capsys)
+    assert (code, out, sweep_err) == (2, "", err)
+
+
 def test_sweep_zchain_workers_do_not_change_output(capsys):
     # each cell draws from its own stream, in the pool as in the loop
     argv = ["sweep", "--task", "zchain", "--N", "2", "--N", "3",
@@ -431,6 +446,17 @@ def test_bad_spec_json_exits_2(capsys):
       "-1"], "t >= 0"),
     (["speed", "--spec", BERN, "--N", "2", "--burn", "-5"],
      "t_burn must be >= 0"),
+    # sweep options are checked before any cell runs
+    (["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--workers",
+      "0"], "--workers >= 1"),
+    (["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--workers",
+      "-3"], "--workers >= 1"),
+    # the trajectory dump reads no estimate option
+    (["speed", "--spec", GUMBEL, "--N", "2", "--emit", "csv", "--horizon",
+      "3", "--method", "renewal", "--burn", "7", "--renewals", "3"],
+     "--burn, --method, --renewals set the speed estimate"),
+    (["speed", "--spec", GUMBEL, "--N", "2", "--emit", "csv", "--burn",
+      "0"], "--burn set the speed estimate"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

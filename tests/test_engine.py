@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from frontlab import engine
+from frontlab import engine, noise
 from frontlab.engine import (
     MAX_FRONT,
     MIN_FRONT,
@@ -433,14 +433,6 @@ def per_step_run(law, n, t, rng, front, pos):
     return fronts, history
 
 
-def assert_fronts_equal(got, want, front):
-    if front.kind == "lse":
-        # vectorized log and row sums may move the last few ulp
-        assert np.all(np.abs(got - want) <= 4 * np.spacing(np.abs(want)))
-    else:
-        np.testing.assert_array_equal(got, want)
-
-
 @pytest.mark.parametrize("law, n", [(BernoulliLaw(0.5), 4), (THREE_ATOM, 3)])
 @pytest.mark.parametrize("front", [MAX_FRONT, lse_front(1.0)])
 def test_full_step_core_is_the_per_step_loop(law, n, front):
@@ -448,7 +440,7 @@ def test_full_step_core_is_the_per_step_loop(law, n, front):
     table = run_trajectory(law, n, 300, make_rng(21), front=front,
                            positions=start)
     fronts, history = per_step_run(law, n, 300, make_rng(21), front, start)
-    assert_fronts_equal(table[1:, 1], fronts, front)
+    np.testing.assert_array_equal(table[1:, 1], fronts)
     assert table[0, 1] == front(start)
     # the max and min columns pin the positions bit for bit
     hi, lo = history.max(axis=1), history.min(axis=1)
@@ -469,11 +461,7 @@ def test_full_step_core_is_the_per_step_loop(law, n, front):
     want = ((fronts[-1] - f0) / run,
             np.std(means, ddof=1) / math.sqrt(batches),
             length * np.var(means, ddof=1))
-    got = (est.value, est.std_err, est.sigma2)
-    if front.kind == "lse":
-        np.testing.assert_allclose(got, want, rtol=1e-9)
-    else:
-        assert got == want
+    assert (est.value, est.std_err, est.sigma2) == want
 
 
 def full_step_positions(law, n, t, rng):
@@ -525,7 +513,7 @@ def test_front_rows_match_the_scalar_front(front, n, rng):
         return
     block = rng.normal(size=(50, n)) * 5.0
     want = np.array([front(row) for row in block])
-    assert_fronts_equal(front.rows(block), want, front)
+    np.testing.assert_array_equal(front.rows(block), want)
 
 
 def test_advance_is_the_per_step_ladder():
@@ -610,7 +598,7 @@ def test_gumbel_blocks_join_like_one_block(monkeypatch):
     law, n, steps = GumbelLaw(loc=0.3, rate=1.5), 1000, 300
     start = make_rng(46).normal(size=n)
     cut = list(engine._position_blocks(law, steps, make_rng(47), start))
-    monkeypatch.setattr(engine, "_GUMBEL_BLOCK_ELEMENTS", n * steps)
+    monkeypatch.setattr(noise, "_UNIT_ELEMENTS", n * steps)
     whole = list(engine._position_blocks(law, steps, make_rng(47), start))
     assert len(cut) == 5 and len(whole) == 1
     np.testing.assert_allclose(np.vstack(cut), whole[0], rtol=1e-13, atol=0)
@@ -684,7 +672,7 @@ def test_full_steps_above_the_crossover_is_the_loop():
 
 @pytest.mark.parametrize("n", range(1, 17))
 def test_full_block_is_sized_within_the_bound(n):
-    bound = engine._BLOCK_ELEMENTS
+    bound = noise._BLOCK_ELEMENTS
     for steps in (1, 10_007, 1_000_003, bound):
         b = engine._full_block(n, steps)
         assert 1 <= b <= steps

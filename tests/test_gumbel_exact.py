@@ -79,10 +79,10 @@ def test_v_sigma_mc_validation():
 
 @pytest.mark.parametrize("n", [1, 7, 10_000])
 def test_recip_sums_do_not_depend_on_block_length(n, monkeypatch):
-    m = max(1, gx._RECIP_BLOCK // n) + 3  # one full default block, then 3
+    m = max(1, noise._UNIT_ELEMENTS // n) + 3  # one full default unit, then 3
     full = gx._recip_sums(n, m, make_rng(4))
-    # blocks of 7 rows at N = 1, of one row at N = 7 and 10^4
-    monkeypatch.setattr(gx, "_RECIP_BLOCK", 7)
+    # units of 7 rows at N = 1, of one row at N = 7 and 10^4
+    monkeypatch.setattr(noise, "_UNIT_ELEMENTS", 7)
     np.testing.assert_array_equal(gx._recip_sums(n, m, make_rng(4)), full)
 
 
@@ -95,8 +95,8 @@ def test_recip_sums_zero_uniform_is_finite():
 
 
 def serial_recip_sums(n, m, rng):
-    """One thread, blocks of whole rows drawn and summed in turn."""
-    rows = max(1, gx._RECIP_BLOCK // n)
+    """One thread, units of whole rows drawn and summed in turn."""
+    rows = max(1, noise._UNIT_ELEMENTS // n)
     buf = np.empty((min(rows, m), n))
     out = np.empty(m)
     for i in range(0, m, rows):
@@ -113,7 +113,7 @@ def serial_recip_sums(n, m, rng):
 @pytest.mark.parametrize("extra", [-1, 0, 1, None],
                          ids=["below", "one", "above", "blocks"])
 def test_recip_sums_match_serial_loop(n, extra, cpus, monkeypatch):
-    rows = max(1, gx._RECIP_BLOCK // n)
+    rows = max(1, noise._UNIT_ELEMENTS // n)
     m = 3 * rows + 2 if extra is None else rows + extra
     monkeypatch.setattr(noise, "_cpus", lambda: cpus)
     threads = threading.active_count()
@@ -148,7 +148,7 @@ def test_recip_sums_under_thread_stress(monkeypatch):
     # and a short switch interval: a draw out of block order or a lost
     # write to out would change some row
     monkeypatch.setattr(noise, "_cpus", lambda: 2)
-    monkeypatch.setattr(gx, "_RECIP_BLOCK", 16)
+    monkeypatch.setattr(noise, "_UNIT_ELEMENTS", 16)
     expected = [serial_recip_sums(7, 500, make_rng(s)) for s in range(4)]
     got = [None] * 4
 

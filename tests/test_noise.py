@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy import integrate, stats
 
+from frontlab import engine, gumbel_exact, noise
 from frontlab.noise import (
     BernoulliLaw,
     GumbelLaw,
@@ -16,7 +17,7 @@ from frontlab.noise import (
     to_json,
 )
 
-from conftest import ZeroUniforms
+from conftest import ZeroUniforms, make_rng
 
 # ---------------------------------------------------------------------------
 # oracles: independent routes to the same distributions
@@ -350,3 +351,45 @@ def test_json_errors():
         from_json('{"type": "triangular"}')
     with pytest.raises(ValueError):
         from_json('{"type": "bernoulli"}')
+
+
+# ---------------------------------------------------------------------------
+# the one unit rule: the reciprocal sums, the Gumbel replicas and the exact
+# Gumbel kernel's blocks all hold max(1, 2^16 // row) rows of a row length
+
+
+def recorded_units(monkeypatch, module):
+    """Rows of each unit ``module``'s draw pipeline runs, in order."""
+    sizes = []
+
+    def draw_units(rng, count, shape, finish, scratch=0):
+        def record(i, x, tmp):
+            sizes.append(x.shape[0])
+            finish(i, x, tmp)
+
+        noise._draw_units(rng, count, shape, record, scratch)
+
+    monkeypatch.setattr(module, "_draw_units", draw_units)
+    return sizes
+
+
+@pytest.mark.parametrize("unit", [None, 16], ids=["default", "patched"])
+@pytest.mark.parametrize("row", [1, 7, 1 << 16, (1 << 16) + 1])
+def test_unit_rule_is_shared_by_every_route(row, unit, monkeypatch):
+    # the patched case moves every route with the one constant
+    if unit is not None:
+        monkeypatch.setattr(noise, "_UNIT_ELEMENTS", unit)
+    monkeypatch.setattr(noise, "_cpus", lambda: 1)  # units in order
+    rows = max(1, (unit or 1 << 16) // row)
+    count = 2 * rows + 1
+    want = [rows, rows, 1]           # two whole units, then a short one
+
+    recip = recorded_units(monkeypatch, gumbel_exact)
+    gumbel_exact._recip_sums(row, count, make_rng(1))
+    # a replica of one step is one row of N = row floats
+    replicas = recorded_units(monkeypatch, engine)
+    engine._replica_runs(GumbelLaw(), row, 1, count, make_rng(2),
+                         lambda i, last, fronts: None)
+    blocks = [b.shape[0] for b in engine._position_blocks(
+        GumbelLaw(), count, make_rng(3), np.zeros(row))]
+    assert recip == replicas == blocks == want

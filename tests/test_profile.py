@@ -285,7 +285,7 @@ def test_marginal_replica_route_matches_advance(law, n, t, replicas, rate,
 
 
 def test_replica_route_runs_large_replicas_in_order(monkeypatch):
-    # a replica past _BLOCK_ELEMENTS floats runs block by block on the
+    # a replica past noise._BLOCK_ELEMENTS floats runs block by block on the
     # calling thread, with no helper thread, and gives the same numbers
     monkeypatch.setattr(noise, "_cpus", lambda: 2)
     want = recorded_runs(engine._replica_runs, GumbelLaw(), 300, 4, 20,
@@ -298,7 +298,7 @@ def test_replica_route_runs_large_replicas_in_order(monkeypatch):
             super().start()
 
     monkeypatch.setattr(noise.threading, "Thread", Counted)
-    monkeypatch.setattr(engine, "_BLOCK_ELEMENTS", 1000)
+    monkeypatch.setattr(noise, "_BLOCK_ELEMENTS", 1000)
     got = recorded_runs(engine._replica_runs, GumbelLaw(), 300, 4, 20,
                         make_rng(101), 1.0)
     assert starts == []
@@ -312,7 +312,7 @@ def test_replica_route_under_thread_stress(monkeypatch):
     # unit drawn out of order or a result written to another unit's rows
     # would change some replica
     monkeypatch.setattr(noise, "_cpus", lambda: 2)
-    monkeypatch.setattr(engine, "_GUMBEL_BLOCK_ELEMENTS", 16)
+    monkeypatch.setattr(noise, "_UNIT_ELEMENTS", 16)
     args = (GumbelLaw(), 7, 3, 200)
     expected = [recorded_runs(advance_replica_runs, *args, make_rng(s), 1.0)
                 for s in range(4)]

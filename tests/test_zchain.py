@@ -785,9 +785,24 @@ def test_lattice_truncation_warns(monkeypatch):
 
 
 def test_lattice_state_cap(monkeypatch):
+    # the cap stops the enumeration, before the dense solve allocates
+    def no_solve(p):
+        raise AssertionError("dense solve reached past the state cap")
+
     monkeypatch.setattr(zchain, "_MAX_STATES", 3)
-    with pytest.raises(RuntimeError):
+    monkeypatch.setattr(zchain, "_stationary", no_solve)
+    with pytest.raises(RuntimeError, match="exceeds 3 states, the dense "
+                       "stationary solve's bound"):
         lattice_speed(THREE_ATOM, 6, window=16)
+
+
+def test_lattice_state_cap_keeps_five_atoms_at_n14():
+    # two 4096 x 4096 float64 matrices (2 x 134 MB) bound the dense solve;
+    # the five-atom law at N = 14 enumerates within the cap
+    assert zchain._MAX_STATES ** 2 * 8 <= 135_000_000
+    states, _, _ = zchain._lattice_chain(FIVE_ATOM, 14, 16,
+                                         zchain._MAX_STATES)
+    assert len(states) == 2380
 
 
 def test_lattice_speed_validation():
