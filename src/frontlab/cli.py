@@ -32,8 +32,20 @@ EXIT_VALIDATION = 2
 EXIT_NUMERICAL = 3
 EXIT_PARTIAL = 4
 
-# the speed options only the estimate reads, at their parser defaults
-_ESTIMATE_OPTIONS = {"burn": None, "method": "batch", "renewals": 200}
+# the speed options that some modes ignore, at their parser defaults
+_SPEED_OPTIONS = {"horizon": 2000, "burn": None, "method": "batch",
+                  "renewals": 200}
+# per mode (--emit csv, else --method): the options it reads, and what it
+# tells of a set option it would ignore
+_SPEED_MODES = {
+    "csv": ({"horizon"}, "set the speed estimate; --emit csv dumps the "
+                         "trajectory"),
+    "batch": ({"horizon", "burn", "method"},
+              "set the renewal estimate; --method batch runs batch means"),
+    "renewal": ({"method", "renewals"},
+                "set the batch-means estimate; --method renewal runs "
+                "--renewals renewal blocks"),
+}
 
 _FRONTS = {
     "max": lambda p: engine.MAX_FRONT,
@@ -79,12 +91,12 @@ def _run_speed(args, seed):
     law = from_json(args.spec)
     rng = _rng(seed)
     front = _FRONTS[args.front](args.front_param)
+    reads, what = _SPEED_MODES["csv" if args.emit == "csv" else args.method]
+    ignored = [f"--{key}" for key, default in _SPEED_OPTIONS.items()
+               if key not in reads and getattr(args, key) != default]
+    if ignored:
+        raise ValueError(f"{', '.join(ignored)} {what}")
     if args.emit == "csv":
-        ignored = [f"--{key}" for key, default in _ESTIMATE_OPTIONS.items()
-                   if getattr(args, key) != default]
-        if ignored:
-            raise ValueError(f"{', '.join(ignored)} set the speed estimate; "
-                             f"--emit csv dumps the trajectory")
         table = engine.run_trajectory(law, args.n, args.horizon, rng,
                                       front=front)
         rows = [[int(r[0])] + [_fmt(v) for v in r[1:]] for r in table]
@@ -240,7 +252,7 @@ def _run_profile(args, seed):
             raise ValueError("fluct test requires gumbel noise")
         rep = profile.fluctuation_experiment(
             [args.n], args.t, args.x, rng, law=law, replicas=args.replicas,
-            ref_size=args.ref_size, ref_draws=args.ref_draws)
+            ref_size=args.ref_size)
         return "json", {"test": "fluct", "N": args.n, "t": rep.t, "x": rep.x,
                         "levels": list(rep.levels),
                         "stat_quantiles": list(rep.stat_quantiles[0]),
@@ -433,7 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=4)
     p.add_argument("--x", type=float, default=0.0)
     p.add_argument("--ref-size", type=int, default=200_000)
-    p.add_argument("--ref-draws", type=int, default=1000)
 
     p = sub.add_parser("scaling", help="stable-limit distance ladder")
     _int_list(p, "--N")

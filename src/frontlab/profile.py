@@ -11,6 +11,7 @@ totally asymmetric stable increments.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,9 @@ __all__ = [
 _EXP_CLAMP = 700.0
 # quantile levels of fluctuation_experiment
 _LEVELS = np.arange(0.1, 0.91, 0.1)
+# the largest reference size M: every integer up to 2^53 is a float, and the
+# reference cf's exponent is checked to 1e-9 there
+_REF_SIZE_MAX = 2 ** 53
 
 
 @dataclass(frozen=True)
@@ -195,7 +199,7 @@ def fluctuation_experiment(n_list, t: int, x: float,
                            law: GumbelLaw = GumbelLaw(),
                            replicas: int = 400,
                            ref_size: int = 10 ** 6,
-                           ref_draws: int = 1000) -> FluctuationReport:
+                           ref_draws: int | None = None) -> FluctuationReport:
     """Distribution of the scaled profile-height error at abscissa x.
 
     For each N the statistic is ln N (U_N(t, y) - u(x)) with the moving
@@ -203,19 +207,30 @@ def fluctuation_experiment(n_list, t: int, x: float,
     deterministic drift of the front is subtracted, so what remains is
     driven by the stable fluctuations of the t-1 front increments. The
     reference law is |u'(x)|/rate times a sum of t-1 independent centered
-    reciprocal-sum variables at size ``ref_size``; both sides are summarized
-    by their quantiles at ``_LEVELS``. The replicas of each N run through
-    :func:`engine._replica_runs`, several at a time on the exact kernel and
-    on up to two threads, bit for bit what one :func:`engine.advance` per
-    replica gives.
+    reciprocal sums (S_M - b_M)/M at M = ``ref_size``; both sides are
+    summarized by their quantiles at ``_LEVELS``. The reference quantiles
+    are exact, :func:`gumbel_exact.s_hat_sum_quantiles` (Gil-Pelaez
+    inversion of the closed-form cf), and draw nothing from ``rng``; they
+    are exactly 0 where t = 1 or u'(x) = 0. ``ref_draws`` sized the old
+    Monte Carlo reference and is ignored. The replicas of each N run
+    through :func:`engine._replica_runs`, several at a time on the exact
+    kernel and on up to two threads, bit for bit what one
+    :func:`engine.advance` per replica gives.
     """
+    if ref_draws is not None:
+        warnings.warn(
+            "fluctuation_experiment: ref_draws is ignored; the reference "
+            "quantiles are exact (gumbel_exact.s_hat_sum_quantiles, "
+            "Gil-Pelaez inversion of the closed-form cf of 1/E)",
+            DeprecationWarning, stacklevel=2)
     if not isinstance(law, GumbelLaw):
         raise TypeError("fluctuation experiment requires Gumbel noise")
     if t < 1:
         raise ValueError("need t >= 1")
-    if replicas < 1 or ref_draws < 1:
-        raise ValueError(f"need replicas >= 1 and ref_draws >= 1, got "
-                         f"{replicas} and {ref_draws}")
+    if replicas < 1:
+        raise ValueError(f"need replicas >= 1, got {replicas}")
+    if not 1 <= ref_size <= _REF_SIZE_MAX:
+        raise ValueError(f"need 1 <= ref_size <= 2^53, got {ref_size}")
     n_list = tuple(int(n) for n in n_list)
     levels = _LEVELS.copy()
     u_x = float(gumbel_wave(x, law.rate, law.loc))
@@ -237,13 +252,13 @@ def fluctuation_experiment(n_list, t: int, x: float,
         engine._replica_runs(law, n, t, replicas, rng, height)
         stat_q[row] = np.quantile(stat, levels)
 
-    if t > 1:
-        s = gumbel_exact.s_hat_samples(ref_size, ref_draws * (t - 1), rng)
-        ref = (slope / law.rate) * s.reshape(ref_draws, t - 1).sum(axis=1)
+    if t > 1 and slope > 0.0:
+        ref_q = (slope / law.rate) * gumbel_exact.s_hat_sum_quantiles(
+            ref_size, t - 1, levels)
     else:
-        ref = np.zeros(ref_draws)
+        ref_q = np.zeros(levels.size)
     return FluctuationReport(
         n_list=n_list, t=t, x=float(x), replicas=replicas, levels=levels,
-        stat_quantiles=stat_q, ref_quantiles=np.quantile(ref, levels),
+        stat_quantiles=stat_q, ref_quantiles=ref_q,
         sampling_scale=np.array([math.log(n) / math.sqrt(n)
                                  for n in n_list]))

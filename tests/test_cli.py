@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import cli
+from frontlab import cli, gumbel_exact
 
 GUMBEL = '{"type":"gumbel"}'
 BERN = '{"type":"bernoulli","p":0.5}'
@@ -221,12 +221,27 @@ def test_profile_marginal_targets_the_laws_gumbel(spec, capsys):
 def test_profile_fluct_json(capsys):
     code, out, _ = run(["profile", "--spec", GUMBEL, "--N", "100", "--t", "2",
                         "--test", "fluct", "--replicas", "30",
-                        "--ref-size", "1000", "--ref-draws", "50"], capsys)
+                        "--ref-size", "1000"], capsys)
     assert code == 0
     obj = json.loads(out)
     assert len(obj["stat_quantiles"]) == 9
-    assert len(obj["ref_quantiles"]) == 9
     assert obj["levels"][4] == pytest.approx(0.5)
+    # the exact reference: |u'(0)| = e^-1 times the quantiles of one
+    # centered reciprocal sum at M = 1000; nothing of it in the manifest
+    want = math.exp(-1.0) * gumbel_exact.s_hat_sum_quantiles(
+        1000, 1, obj["levels"])
+    assert obj["ref_quantiles"] == want.tolist()
+    assert "ref_draws" not in obj["manifest"]["config"]
+
+
+def test_profile_fluct_flat_wave_reference_is_zero(capsys):
+    # u'(800) underflows to 0, so the reference quantiles are exactly 0
+    code, out, _ = run(["profile", "--spec", GUMBEL, "--N", "100", "--t", "3",
+                        "--test", "fluct", "--replicas", "10", "--x", "800"],
+                       capsys)
+    assert code == 0
+    assert json.loads(out)["ref_quantiles"] == [0.0] * 9
+    assert '"ref_quantiles": [\n    0.0,' in out
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +280,9 @@ def test_cell_streams_are_spawned_children(seed):
     ["sweep", "--task", "zchain", "--N", "2", "--q", "0.5", "--u-grid=-2:2:1"],
     # the wave's front-equation identity is a test oracle now
     ["profile", "--spec", GUMBEL, "--N", "2", "--test", "reaction"],
+    # the fluct reference is exact: no draws to size
+    ["profile", "--spec", GUMBEL, "--N", "20", "--test", "fluct",
+     "--ref-draws", "50"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, out, _ = run(argv, capsys)
@@ -438,7 +456,7 @@ def test_bad_spec_json_exits_2(capsys):
     (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
       "fluct", "--replicas", "0"], "replicas >= 1"),
     (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
-      "fluct", "--ref-draws", "0"], "ref_draws >= 1"),
+      "fluct", "--ref-size", "0"], "ref_size <= 2^53, got 0"),
     # at t = 0 there is no previous front to center the profile on
     (["profile", "--spec", GUMBEL, "--N", "10", "--t", "0"],
      "center must be finite"),
@@ -457,6 +475,14 @@ def test_bad_spec_json_exits_2(capsys):
      "--burn, --method, --renewals set the speed estimate"),
     (["speed", "--spec", GUMBEL, "--N", "2", "--emit", "csv", "--burn",
       "0"], "--burn set the speed estimate"),
+    # renewal blocks read no batch-means option, batch means no --renewals
+    (["speed", "--spec", GUMBEL, "--N", "2", "--method", "renewal",
+      "--renewals", "50", "--burn", "7", "--horizon", "150"],
+     "--horizon, --burn set the batch-means estimate"),
+    (["speed", "--spec", GUMBEL, "--N", "2", "--horizon", "300",
+      "--renewals", "50"], "--renewals set the renewal estimate"),
+    (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
+      "fluct", "--ref-size", str(2 ** 53 + 1)], "ref_size <= 2^53"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

@@ -4,7 +4,7 @@ import threading
 
 import numpy as np
 import pytest
-from scipy import integrate, stats
+from scipy import integrate, special, stats
 
 from frontlab import gumbel_exact as gx, noise
 
@@ -339,6 +339,90 @@ def test_normalized_increments_vs_cms_reference(rng):
     ref = stable_reference_samples(40_000, rng)
     gap = np.abs(gx.empirical_cf(inc, grid) - gx.empirical_cf(ref, grid))
     assert gap.max() < 0.05
+
+
+# ---------------------------------------------------------------------------
+# exact law of sums of centered reciprocal sums
+
+LEVELS = np.arange(0.1, 0.91, 0.1)
+
+
+@pytest.mark.parametrize("v", [0.6, 1.0, 5.0, 20.0])
+def test_recip_cf_matches_fourier_quadrature(v):
+    # E e^{iv/E} = int_0^inf e^{-1/y} y^-2 e^{ivy} dy (y = 1/E), by QAWF
+    f = lambda y: math.exp(-1.0 / y) / (y * y) if y > 0.0 else 0.0
+    re, _ = integrate.quad(f, 0.0, np.inf, weight="cos", wvar=v)
+    im, _ = integrate.quad(f, 0.0, np.inf, weight="sin", wvar=v)
+    got = np.exp(gx._log_recip_cf(np.array([v])))[0]
+    assert abs(got - complex(re, im)) < 1e-9
+
+
+def test_recip_cf_series_meets_kve():
+    # the small-argument series and the kve route agree where they meet
+    v = np.linspace(0.2, gx._SERIES_MAX, 7)
+    series = gx._log_recip_cf(v)
+    z = 2.0 * np.sqrt(-1j * v)
+    kve_route = np.log(z) + np.log(special.kve(1, z)) - z
+    np.testing.assert_allclose(series, kve_route,
+                               rtol=0, atol=1e-14)
+    assert gx._log_recip_cf(np.array([0.0]))[0] == 0.0
+
+
+@pytest.mark.parametrize("n", [10 ** 9, 10 ** 12, 2 ** 53])
+def test_s_hat_cf_cancellation_at_large_n(n):
+    # N ln g(u/N) - iu b_N/N cancels two terms of size u ln N; against the
+    # expansion to second order in w = -iu/N (the ln N terms cancelled by
+    # hand, the third order below 1e-11 here) it must stay within 1e-9
+    u = np.array([0.01, 0.1, 1.0, 10.0, 30.0])
+    w = -1j * u / n
+    lw = np.log(w)
+    g = np.euler_gamma
+    want = (-0.5 * math.pi * u - 1j * u * np.log(u) + 1j * u * (1.0 - g)
+            - 1j * u / n
+            - (u * u / n) * (0.5 * (lw - 2.5 + 2.0 * g)
+                             - 0.5 * (lw - 1.0 + 2.0 * g) ** 2))
+    got = gx._log_s_hat_cf(n, gx.b_of_N(n), u)
+    assert np.abs(got - want).max() < 1e-9
+
+
+def test_s_hat_sum_quantiles_closed_form_at_n1():
+    # M = 1, one term: Z = 1/E - E1(1), P(1/E <= y) = e^{-1/y}
+    want = -1.0 / np.log(LEVELS) - special.exp1(1.0)
+    got = gx.s_hat_sum_quantiles(1, 1, LEVELS)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-8)
+
+
+def test_s_hat_sum_quantiles_vs_monte_carlo():
+    # M = 10^4, two terms (t = 3): 2 * 10^5 draws of the sum through
+    # s_hat_samples; the empirical CDF at each exact quantile lies within
+    # 4 binomial standard errors of its level
+    draws = 200_000
+    q = gx.s_hat_sum_quantiles(10 ** 4, 2, LEVELS)
+    z = gx.s_hat_samples(10 ** 4, 2 * draws, make_rng(211)).reshape(
+        draws, 2).sum(axis=1)
+    cdf = (z[:, None] <= q).mean(axis=0)
+    se = np.sqrt(LEVELS * (1.0 - LEVELS) / draws)
+    assert np.all(np.abs(cdf - LEVELS) < 4.0 * se), (cdf - LEVELS) / se
+
+
+@pytest.mark.parametrize("n, terms", [(1, 1), (10 ** 4, 2), (200_000, 2),
+                                      (3, 7)])
+def test_s_hat_sum_quantiles_stable_under_doubled_nodes(n, terms,
+                                                        monkeypatch):
+    coarse = gx.s_hat_sum_quantiles(n, terms, LEVELS)
+    monkeypatch.setattr(gx, "_GL_ORDER", 2 * gx._GL_ORDER)
+    fine = gx.s_hat_sum_quantiles(n, terms, LEVELS)
+    assert np.abs(coarse - fine).max() < 1e-9
+    assert np.all(np.diff(coarse) > 0)
+
+
+def test_s_hat_sum_quantiles_validation():
+    for args in ((0, 1), (10, 0)):
+        with pytest.raises(ValueError):
+            gx.s_hat_sum_quantiles(*args, LEVELS)
+    for bad in ([0.0, 0.5], [0.5, 1.0]):
+        with pytest.raises(ValueError, match="levels"):
+            gx.s_hat_sum_quantiles(10, 1, bad)
 
 
 # ---------------------------------------------------------------------------

@@ -396,7 +396,7 @@ def test_replica_route_calls_public_functions_on_the_calling_thread(
     marginal_gumbel_test(GumbelLaw(), 1000, 3, make_rng(103), k=2,
                          replicas=100)
     fluctuation_experiment([1000, 70_000], 3, 0.0, make_rng(107),
-                           replicas=4, ref_size=100, ref_draws=10)
+                           replicas=4, ref_size=100)
     assert seen and set(seen) == {threading.current_thread()}
     assert threading.active_count() == threads
 
@@ -443,7 +443,7 @@ def test_traveling_wave_residual_loc_invariant():
 
 def test_fluctuation_report_shapes():
     rep = fluctuation_experiment([50, 100], 2, 0.0, make_rng(73),
-                                 replicas=40, ref_size=2000, ref_draws=100)
+                                 replicas=40, ref_size=2000)
     assert rep.stat_quantiles.shape == (2, 9)
     assert rep.ref_quantiles.shape == (9,)
     np.testing.assert_allclose(rep.sampling_scale,
@@ -453,13 +453,13 @@ def test_fluctuation_report_shapes():
 
 def test_fluctuation_t1_reference_degenerates():
     rep = fluctuation_experiment([50], 1, 0.0, make_rng(79),
-                                 replicas=30, ref_size=1000, ref_draws=50)
+                                 replicas=30, ref_size=1000)
     np.testing.assert_array_equal(rep.ref_quantiles, 0.0)
 
 
 def test_fluctuation_median_approaches_reference():
     rep = fluctuation_experiment([300, 3000], 3, 0.0, make_rng(1729),
-                                 replicas=150, ref_size=30_000, ref_draws=500)
+                                 replicas=150, ref_size=30_000)
     med = rep.stat_quantiles[:, 4]
     ref = rep.ref_quantiles[4]
     assert abs(med[1] - ref) < abs(med[0] - ref)
@@ -489,7 +489,7 @@ def test_fluctuation_stat_matches_advance(monkeypatch):
     for cpus in (1, 2):
         monkeypatch.setattr(noise, "_cpus", lambda cpus=cpus: cpus)
         rep = fluctuation_experiment([50, 70_000], 3, 0.2, make_rng(83),
-                                     replicas=6, ref_size=100, ref_draws=10)
+                                     replicas=6, ref_size=100)
         np.testing.assert_array_equal(rep.stat_quantiles, want)
 
 
@@ -498,10 +498,42 @@ def test_fluctuation_validation():
         fluctuation_experiment([10], 2, 0.0, make_rng(0), law=BernoulliLaw(0.5))
     with pytest.raises(ValueError):
         fluctuation_experiment([10], 0, 0.0, make_rng(0))
-    # no replica, or no reference draw, has no quantiles: refused before
-    # any draw
-    for kw in ({"replicas": 0}, {"ref_draws": 0}, {"replicas": -1}):
+    # no replica, or a reference size the exact route does not cover, has
+    # no quantiles: refused before any draw, naming the option
+    for kw, name in (({"replicas": 0}, "replicas"),
+                     ({"replicas": -1}, "replicas"),
+                     ({"ref_size": 0}, "ref_size"),
+                     ({"ref_size": 2 ** 53 + 1}, "ref_size")):
         rng = make_rng(0)
-        with pytest.raises(ValueError, match="replicas|ref_draws"):
+        with pytest.raises(ValueError, match=name):
             fluctuation_experiment([10], 2, 0.0, rng, **kw)
         assert rng.random() == make_rng(0).random()
+
+
+def test_fluctuation_reference_is_exact():
+    # |u'(x)|/rate times the exact quantiles of the sum of t - 1 centered
+    # reciprocal sums; the reference draws nothing from rng
+    law = GumbelLaw(0.5, 2.0)
+    rng = make_rng(89)
+    rep = fluctuation_experiment([50], 3, 0.3, rng, law=law, replicas=5,
+                                 ref_size=1000)
+    slope = abs(float(wave_derivative(0.3, law.rate, law.loc)))
+    np.testing.assert_array_equal(
+        rep.ref_quantiles,
+        slope / law.rate * gumbel_exact.s_hat_sum_quantiles(
+            1000, 2, profile._LEVELS))
+    assert np.all(np.diff(rep.ref_quantiles) > 0)
+    after = make_rng(89)
+    engine._replica_runs(law, 50, 3, 5, after, lambda *a: None)
+    assert rng.random() == after.random()
+
+
+def test_fluctuation_ref_draws_is_deprecated_and_ignored():
+    with pytest.warns(DeprecationWarning,
+                      match="ref_draws is ignored.*s_hat_sum_quantiles"):
+        old = fluctuation_experiment([50], 3, 0.0, make_rng(101), replicas=5,
+                                     ref_size=1000, ref_draws=10)
+    new = fluctuation_experiment([50], 3, 0.0, make_rng(101), replicas=5,
+                                 ref_size=1000)
+    np.testing.assert_array_equal(old.ref_quantiles, new.ref_quantiles)
+    np.testing.assert_array_equal(old.stat_quantiles, new.stat_quantiles)
