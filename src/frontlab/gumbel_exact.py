@@ -18,7 +18,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .noise import _BLOCK_ELEMENTS, _draw_units, _exponential_from_uniform
+from .noise import (_BLOCK_ELEMENTS, _EULER_GAMMA, _draw_units, _exp1,
+                    _exponential_from_uniform)
 
 __all__ = [
     "upsilon_samples",
@@ -38,8 +39,6 @@ __all__ = [
     "cf_distance",
     "speeded_front_samples",
 ]
-
-_EULER_GAMMA = float(np.euler_gamma)
 
 
 def _check_n(n_particles: int) -> int:
@@ -120,11 +119,14 @@ def v_sigma_mc(n_particles: int, n_samples: int, rng: np.random.Generator,
 
 
 def b_of_N(n_particles: int) -> float:
-    """Centering b_N = N E1(1/N) = N integral_{1/N}^inf e^-y / y dy."""
-    from scipy.special import exp1
+    """Centering b_N = N E1(1/N) = N integral_{1/N}^inf e^-y / y dy.
 
+    E1 is the numpy one of :mod:`frontlab.noise`, which runs its power
+    series on floats here (1/N <= 1), so the call loads no scipy and takes
+    microseconds.
+    """
     n_particles = _check_n(n_particles)
-    return float(n_particles * exp1(1.0 / n_particles))
+    return float(n_particles * _exp1(1.0 / n_particles))
 
 
 def b_over_n_asymptotic(n_particles: int) -> float:

@@ -28,10 +28,23 @@ __all__ = [
     "from_json",
 ]
 
-# exp1 switches to its asymptotic tail here; e^{-z}/z is still far from
-# underflow, so the 1 - 1/z + 2/z^2 - 6/z^3 expansion is accurate to ~4e-10.
+# SandwichedGumbelLaw.log_cdf leaves the E1 difference for the asymptotic
+# tail of ln E1(z_lo) above this z_lo: E1 itself keeps its relative accuracy
+# until e^{-z} turns subnormal near z = 708, and at z = 500 the tail's
+# 1 - 1/z + 2/z^2 - 6/z^3 is off by ~4e-10 absolute, out of |ln F| ~ 506.
 _EXP1_ASYMPTOTIC = 500.0
 _EXP_CLAMP = 690.0
+# E1 is the power series up to x = 1 (Abramowitz & Stegun 5.1.11) and the
+# even continued fraction above it (A&S 5.1.22). The series' first dropped
+# term, 1/(19 * 19!) at x = 1, is 2e-18 of E1(1). The fraction converges
+# slowest at the switch: at x = 1, 20, 40, 60 and 80 terms leave 2.4e-7,
+# 1.8e-10, 6.6e-13 and 5.8e-15, and 100 terms reach the float64 round-off.
+# Moving the switch up to 1.5 or 2 costs the series digits (1.1e-14,
+# 4.2e-12 relative, against mpmath).
+_E1_SWITCH = 1.0
+_E1_SERIES = tuple(1.0 / (k * math.factorial(k)) for k in range(1, 19))
+_E1_FRACTION_TERMS = 100
+_EULER_GAMMA = float(np.euler_gamma)
 # smallest exponential draw: -ln(1 - u) is 0 only at u = 0, which is read as
 # the middle of its cell [0, 2^-53)
 _EXP_FLOOR = 2.0 ** -54
@@ -58,6 +71,56 @@ def _gumbel_from_uniform(u: np.ndarray, loc: float, rate: float
     np.divide(g, -rate, out=g)
     g += loc
     return g
+
+
+def _exp1_series(x):
+    """-gamma - ln x - sum_k (-x)^k / (k k!) for x in (0, 1], by Horner.
+
+    x is a float or an array; on an array the augmented operations run in
+    place, on a float they are plain float arithmetic.
+    """
+    y = -x
+    s = _E1_SERIES[-1] * y
+    for c in _E1_SERIES[-2::-1]:
+        s += c
+        s *= y
+    s += _EULER_GAMMA
+    s += np.log(x)
+    return -s
+
+
+def _exp1_fraction(x: np.ndarray) -> np.ndarray:
+    """e^{-x} / (x + 1 - 1/(x + 3 - 4/(x + 5 - ...))) for an array of x > 1,
+    evaluated backward from a fixed depth, in place."""
+    t = x + (2 * _E1_FRACTION_TERMS + 1)
+    for k in range(_E1_FRACTION_TERMS, 0, -1):
+        np.divide(-k * k, t, out=t)
+        t += x
+        t += 2 * k - 1
+    return np.divide(np.exp(-x), t, out=t)
+
+
+def _exp1(x):
+    """Exponential integral E1(x) = integral_x^inf e^{-t} / t dt, for x > 0.
+
+    Relative error within a few float64 round-offs while e^{-x} is a
+    normal float (x < 708), and 0 once it underflows (x >= 746). A float
+    or 0-d x gives a numpy float, an array an array of its shape. A scalar
+    in the series range runs on floats, so a single b_N costs microseconds,
+    not a hundred array passes; an array runs each branch only when it
+    holds elements for it.
+    """
+    if np.ndim(x) == 0 and x <= _E1_SWITCH:
+        return _exp1_series(float(x))
+    x = np.asarray(x, dtype=float)
+    out = np.empty_like(x)
+    low = x <= _E1_SWITCH
+    if low.any():
+        out[low] = _exp1_series(x[low])
+    high = ~low
+    if high.any():
+        out[high] = _exp1_fraction(x[high])
+    return out[()]
 
 
 def _cpus() -> int:
@@ -276,7 +339,7 @@ class SandwichedGumbelLaw(NoiseLaw):
             raise ValueError(f"unknown shift_law {self.shift_law!r}")
 
     def _is_point(self) -> bool:
-        # widths below ~1e-8 would cancel in the exp1 difference anyway
+        # widths below ~1e-8 would cancel in the E1 difference anyway
         return self.shift_law == "point" or (self.hi - self.lo) < 1e-8
 
     def sample(self, rng, size=None):
@@ -288,8 +351,6 @@ class SandwichedGumbelLaw(NoiseLaw):
         return self.lo + (self.hi - self.lo) * u[..., 1] - np.log(e)
 
     def log_cdf(self, x):
-        from scipy.special import exp1
-
         x = np.asarray(x, dtype=float)
         if self._is_point():
             return -np.exp(-(x - 0.5 * (self.lo + self.hi)))
@@ -308,7 +369,7 @@ class SandwichedGumbelLaw(NoiseLaw):
         out[tiny] = np.log1p((-(b - a) + (b * b - a * a) / 4.0) / w)
 
         a, b = z_lo[mid], z_hi[mid]
-        out[mid] = np.log(exp1(a) - exp1(b)) - math.log(w)
+        out[mid] = np.log(_exp1(a) - _exp1(b)) - math.log(w)
 
         # the e^{hi-x} term is smaller by e^{-(e^{w}-1) z} and drops out
         z = z_lo[big]

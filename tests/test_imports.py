@@ -38,24 +38,30 @@ def test_import_loads_no_scipy():
 def test_scipy_calls_load_scipy_and_keep_their_values():
     out = run_fresh(
         "import numpy as np\n"
-        "from frontlab import gumbel_exact\n"
+        "from frontlab import engine, gumbel_exact\n"
         "from frontlab.noise import SandwichedGumbelLaw\n"
         "print(repr(gumbel_exact.constant_C()))\n"
-        f"print({SCIPY_MODULES})\n"
         "x = np.linspace(-3, 3, 7)\n"
         "print(*SandwichedGumbelLaw(-0.3, 0.3).log_cdf(x))\n"
         "print(gumbel_exact.b_of_N(10))\n"
+        "engine.step_conditional(engine.initial_state(16),\n"
+        "                        SandwichedGumbelLaw(-0.5, 0.5),\n"
+        "                        np.random.default_rng(0))\n"
+        f"print({SCIPY_MODULES})\n"
+        "gumbel_exact.s_hat_sum_quantiles(100, 2, [0.5])\n"
         f"print(bool({SCIPY_MODULES}))")
-    # C = 1 - gamma is a closed form: no scipy
-    assert out[:2] == ["0.42278433509846713", "[]"]
-    assert out[4] == "True"
-    # values from when scipy was imported at module level
+    # C = 1 - gamma is a closed form, and E1 (the sandwiched log-CDF, b_N,
+    # the conditional step) is numpy's: no scipy until the exact
+    # fluctuation reference calls kve
+    assert out[0] == "0.42278433509846713"
+    assert out[3:] == ["[]", "True"]
+    # values from when scipy's exp1 gave them
     log_cdf = [-17.13038301817754, -6.818052097921876, -2.6516135771467884,
                -0.9999337948775562, -0.37135338183502775,
                -0.13709355159683512, -0.0504991831952587]
-    np.testing.assert_allclose([float(v) for v in out[2].split()], log_cdf,
+    np.testing.assert_allclose([float(v) for v in out[1].split()], log_cdf,
                                rtol=1e-13)
-    np.testing.assert_allclose(float(out[3]), 18.229239584193905, rtol=1e-13)
+    np.testing.assert_allclose(float(out[2]), 18.229239584193905, rtol=1e-13)
 
 
 @pytest.mark.parametrize("module", [

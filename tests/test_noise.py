@@ -263,6 +263,101 @@ def test_sandwiched_log_cdf_monotone():
     assert np.all(np.diff(law.log_cdf(x)) >= 0.0)
 
 
+# the E1 switch (series up to 1, continued fraction above) and both sides
+E1_GRID = np.concatenate([np.geomspace(1e-300, 700.0, 20001),
+                          [1.0 - 1e-12, 1.0, 1.0 + 1e-12]])
+
+
+def test_exp1_matches_scipy():
+    from scipy.special import exp1
+    np.testing.assert_allclose(noise._exp1(E1_GRID), exp1(E1_GRID),
+                               rtol=2e-15, atol=0.0)
+
+
+def test_exp1_scalar_0d_and_array_agree():
+    x = np.concatenate([E1_GRID[:-3:200], E1_GRID[-3:]])
+    want = noise._exp1(x)
+    for xi, wi in zip(x, want):
+        for form in (float(xi), np.float64(xi), np.array(xi)):
+            got = noise._exp1(form)
+            assert np.ndim(got) == 0 and got == wi
+    np.testing.assert_array_equal(noise._exp1(x.reshape(-1, 2)),
+                                  want.reshape(-1, 2))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exp1_is_silently_zero_past_the_float_range():
+    x = np.array([746.0, 800.0, 1e5, 1e308, math.inf])
+    np.testing.assert_array_equal(noise._exp1(x), 0.0)
+    assert noise._exp1(746.0) == 0.0
+
+
+def _exp1_log_cdf(law, x):
+    """ln F = ln(E1(z_lo) - E1(z_hi)) - ln(hi - lo) through scipy's exp1,
+    with E1(z_lo) and E1(z_hi) (oracle)."""
+    from scipy.special import exp1
+    e_lo, e_hi = exp1(np.exp(law.lo - x)), exp1(np.exp(law.hi - x))
+    return np.log(e_lo - e_hi) - math.log(law.hi - law.lo), e_lo, e_hi
+
+
+def _branch_edges(law, x):
+    """z_lo and z_hi as log_cdf forms them, and its mid-branch mask."""
+    z_lo = np.exp(np.minimum(law.lo - x, noise._EXP_CLAMP))
+    z_hi = np.exp(np.minimum(law.hi - x, noise._EXP_CLAMP))
+    return z_lo, z_hi, (z_hi >= 1e-6) & (z_lo <= noise._EXP1_ASYMPTOTIC)
+
+
+SANDWICH_WIDTHS = [0.6, 2.0, 10.0, 30.0]
+
+
+@pytest.mark.parametrize("width", SANDWICH_WIDTHS)
+def test_sandwiched_mid_branch_on_dense_grid(width):
+    law = SandwichedGumbelLaw(-width / 2, width / 2)
+    # all three branches: z_lo up to e^8, z_hi down to e^-16
+    x = np.linspace(law.lo - 8.0, law.hi + 16.0, 20001)
+    got = law.log_cdf(x)
+    assert np.all(np.diff(got) >= 0.0)
+    mid = _branch_edges(law, x)[2]
+    assert 0 < mid.sum() < x.size
+    ref = _exp1_log_cdf(law, x[mid])[0]
+    assert np.all(np.abs(got[mid] - ref)
+                  <= 1e-13 * np.maximum(1.0, np.abs(ref)))
+
+
+def test_sandwiched_narrow_width_shares_the_cancellation():
+    # just above _is_point, E1(z_lo) - E1(z_hi) cancels to ~1e-7 of
+    # E1(z_lo) on both routes: the bound is that cancellation's round-off
+    law = SandwichedGumbelLaw(-0.5e-7, 0.5e-7)
+    assert not law._is_point()
+    x = np.linspace(law.lo - 8.0, law.hi + 16.0, 20001)
+    got = law.log_cdf(x)
+    mid = _branch_edges(law, x)[2]
+    ref, e_lo, e_hi = _exp1_log_cdf(law, x[mid])
+    bound = 32.0 * np.finfo(float).eps * e_lo / (e_lo - e_hi)
+    assert np.all(np.abs(got[mid] - ref) <= bound)
+
+
+@pytest.mark.parametrize("width", SANDWICH_WIDTHS)
+def test_sandwiched_log_cdf_continuous_across_branch_edges(width):
+    law = SandwichedGumbelLaw(-width / 2, width / 2)
+
+    def across(edge, side):
+        # log_cdf at the two adjacent floats where the branch flips
+        x = edge + np.arange(-64, 65) * abs(np.spacing(edge))
+        i = np.flatnonzero(side(*_branch_edges(law, x)[:2]))[0]
+        assert i > 0
+        return law.log_cdf(x[i - 1:i + 1])
+
+    # z_hi = 1e-6: the mid branch to the left, the tiny series to the right
+    mid, tiny = across(law.hi - math.log(1e-6), lambda lo, hi: hi < 1e-6)
+    assert abs(mid - tiny) <= 1e-13
+    # z_lo = _EXP1_ASYMPTOTIC: the asymptotic tail to the left, mid to the
+    # right; the tail's 3-term series is off by ~4e-10 of |ln F| ~ 506
+    big, mid = across(law.lo - math.log(noise._EXP1_ASYMPTOTIC),
+                      lambda lo, hi: lo <= noise._EXP1_ASYMPTOTIC)
+    assert abs(big - mid) <= 1e-12 * abs(mid)
+
+
 def test_sandwiched_sample_matches_cdf(rng):
     law = SandwichedGumbelLaw(-1.0, 0.5)
     x = law.sample(rng, 20_000)
