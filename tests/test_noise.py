@@ -352,7 +352,8 @@ def test_sandwiched_log_cdf_continuous_across_branch_edges(width):
     mid, tiny = across(law.hi - math.log(1e-6), lambda lo, hi: hi < 1e-6)
     assert abs(mid - tiny) <= 1e-13
     # z_lo = _EXP1_ASYMPTOTIC: the asymptotic tail to the left, mid to the
-    # right; the tail's 3-term series is off by ~4e-10 of |ln F| ~ 506
+    # right; the tail's 3-term series is off by ~4e-10 absolute, out of
+    # |ln F| ~ 506
     big, mid = across(law.lo - math.log(noise._EXP1_ASYMPTOTIC),
                       lambda lo, hi: lo <= noise._EXP1_ASYMPTOTIC)
     assert abs(big - mid) <= 1e-12 * abs(mid)
