@@ -179,7 +179,7 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
         law = _lattice_law(probs)
         rep = zchain.lattice_speed(law, n, window=window)
         v_exact, gap = rep.value, rep.ladder.sum()
-        sim = zchain.lattice_chain_sim(law, n, steps, rng, window=window)
+        sim = zchain.lattice_chain_sim(law, n, steps, rng, window=rep.window)
         q_out = 1.0 - law.prob_of(law.top)
     scale = q_out ** (n * n) * 2.0 ** n
     # no ratio where the scale is 0: a point mass at the top, or underflow
@@ -237,19 +237,14 @@ def _run_zchain(args, seed):
 def _run_profile(args, seed):
     law = from_json(args.spec)
     rng = _rng(seed)
-    rate = law.rate if isinstance(law, GumbelLaw) else 1.0
-    loc = law.loc if isinstance(law, GumbelLaw) else 0.0
     if args.test == "marginal":
         rep = profile.marginal_gumbel_test(law, args.n, args.t, rng,
-                                           k=args.k, replicas=args.replicas,
-                                           target_rate=rate, target_loc=loc)
+                                           k=args.k, replicas=args.replicas)
         return "json", {"test": "marginal", "N": rep.n, "t": rep.t,
                         "k": rep.k, "replicas": rep.replicas,
                         "ks": list(rep.ks), "max_corr": rep.max_corr,
                         "seed": seed}
     if args.test == "fluct":
-        if not isinstance(law, GumbelLaw):
-            raise ValueError("fluct test requires gumbel noise")
         rep = profile.fluctuation_experiment(
             [args.n], args.t, args.x, rng, law=law, replicas=args.replicas,
             ref_size=args.ref_size)
@@ -260,6 +255,7 @@ def _run_profile(args, seed):
                         "seed": seed}
 
     state = engine.advance(engine.initial_state(args.n), law, rng, args.t)
+    rate, loc = profile._gumbel_target(law)
     if args.test == "ks":
         from scipy.special import kolmogorov
 
@@ -268,7 +264,7 @@ def _run_profile(args, seed):
         return "json", {"test": "ks", "N": args.n, "t": args.t, "ks": ks,
                         "p_value": p_value, "seed": seed}
     grid = _parse_grid(args.grid)
-    prof = profile.empirical_profile(state, grid, center=state.prev_front)
+    prof = profile.empirical_profile(state, grid)
     wave = profile.gumbel_wave(grid, rate, loc)
     rows = [[_fmt(x), _fmt(v), _fmt(w), _fmt(v - w)]
             for x, v, w in zip(grid, prof.values, wave)]

@@ -513,15 +513,15 @@ def _replica_runs(law: NoiseLaw, n: int, steps: int, replicas: int,
 def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                    t_burn: int | None = None, t_run: int = 2000,
                    rng: np.random.Generator | None = None,
-                   n_batches: int = 32, positions=None) -> SpeedEstimate:
+                   n_batches: int = 32) -> SpeedEstimate:
     """Batch-means speed estimate over a single long run.
 
-    The run steps through the kernels :func:`_position_blocks` picks, exact
-    in law except for the conditional step's grid. Burn-in defaults to
-    :func:`default_burn_in`. The run is cut into ``n_batches`` equal batches
-    of front increments; the reported sigma2 is the batch-means estimate of
-    the per-step CLT variance and std_err is the usual batch-means standard
-    error of the mean increment.
+    The run starts from all N particles at 0 and steps through the kernels
+    :func:`_position_blocks` picks, exact in law except for the conditional
+    step's grid. Burn-in defaults to :func:`default_burn_in`. The run is cut
+    into ``n_batches`` equal batches of front increments; the reported
+    sigma2 is the batch-means estimate of the per-step CLT variance and
+    std_err is the usual batch-means standard error of the mean increment.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -532,7 +532,7 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         t_burn = default_burn_in(n)
     if t_burn < 0:
         raise ValueError(f"t_burn must be >= 0, got {t_burn}")
-    pos = initial_state(n, positions).positions
+    pos = initial_state(n).positions
     if t_burn:
         # a copy, so that the burn-in's last block is not kept alive
         pos = _last_two(law, t_burn, rng, pos)[1].copy()
@@ -542,14 +542,14 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
 
 def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                   n_renewals: int = 200,
-                  rng: np.random.Generator | None = None,
-                  positions=None) -> SpeedEstimate:
+                  rng: np.random.Generator | None = None) -> SpeedEstimate:
     """Regenerative speed estimate from renewal blocks.
 
-    A renewal is a step whose noise lets the current leader's column attain
-    every row max; the segment before the first renewal is discarded and the
-    (displacement, duration) block pairs give the ratio estimator with a
-    delta-method standard error. Noise is drawn in (b, N, N) blocks, each
+    The run starts from all N particles at 0. A renewal is a step whose
+    noise lets the current leader's column attain every row max; the
+    segment before the first renewal is discarded and the (displacement,
+    duration) block pairs give the ratio estimator with a delta-method
+    standard error. Noise is drawn in (b, N, N) blocks, each
     sized to the expected wait of the renewals still needed (N^N steps
     each, at least 64) and capped by the remaining budget and the block
     bound; a block's positions come from the chunked full step, its
@@ -561,7 +561,7 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         rng = np.random.default_rng()
     if n_renewals < 10:
         raise ValueError("need at least 10 renewal blocks")
-    pos = initial_state(n, positions).positions
+    pos = initial_state(n).positions
 
     marks, mark_steps = [], []     # front and step count at each renewal
     found = 0
@@ -596,17 +596,17 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
 
 def run_trajectory(law: NoiseLaw, n: int, t: int,
                    rng: np.random.Generator | None = None,
-                   front: FrontFunctional = MAX_FRONT,
-                   positions=None) -> np.ndarray:
+                   front: FrontFunctional = MAX_FRONT) -> np.ndarray:
     """Dynamics for t steps; rows (t, phi, max, min, gap) incl. t=0.
 
-    The run steps through the kernels :func:`_position_blocks` picks.
+    The run starts from all N particles at 0 and steps through the kernels
+    :func:`_position_blocks` picks.
     """
     if t < 0:
         raise ValueError(f"need t >= 0 steps, got {t}")
     if rng is None:
         rng = np.random.default_rng()
-    pos = initial_state(n, positions).positions
+    pos = initial_state(n).positions
     rows = np.empty((t + 1, 5))
     rows[0] = (0, front(pos), pos.max(), pos.min(), pos.max() - pos.min())
     i = 1

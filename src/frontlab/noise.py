@@ -320,27 +320,24 @@ class LatticeLaw(NoiseLaw):
 
 @dataclass(frozen=True)
 class SandwichedGumbelLaw(NoiseLaw):
-    """Unit-rate Gumbel plus an independent bounded shift W in [lo, hi].
+    """Unit-rate Gumbel plus an independent shift W uniform on [lo, hi].
 
-    ``shift_law`` is "uniform" (uniform on [lo, hi]) or "point" (atom at the
-    midpoint). Degenerate intervals collapse to the point law.
+    An interval narrower than 1e-8, lo == hi included, is the unit-rate
+    Gumbel shifted by its midpoint.
     """
 
     lo: float
     hi: float
-    shift_law: str = "uniform"
 
     def __post_init__(self):
         if not (math.isfinite(self.lo) and math.isfinite(self.hi)):
             raise ValueError("shift bounds must be finite")
         if self.lo > self.hi:
             raise ValueError(f"need lo <= hi, got ({self.lo}, {self.hi})")
-        if self.shift_law not in ("uniform", "point"):
-            raise ValueError(f"unknown shift_law {self.shift_law!r}")
 
     def _is_point(self) -> bool:
         # widths below ~1e-8 would cancel in the E1 difference anyway
-        return self.shift_law == "point" or (self.hi - self.lo) < 1e-8
+        return (self.hi - self.lo) < 1e-8
 
     def sample(self, rng, size=None):
         if self._is_point():
@@ -368,8 +365,13 @@ class SandwichedGumbelLaw(NoiseLaw):
         a, b = z_lo[tiny], z_hi[tiny]
         out[tiny] = np.log1p((-(b - a) + (b * b - a * a) / 4.0) / w)
 
-        a, b = z_lo[mid], z_hi[mid]
-        out[mid] = np.log(_exp1(a) - _exp1(b)) - math.log(w)
+        # below z = e^-690, E1(z) = -gamma - ln z to round-off, and ln z =
+        # lo - x stays exact where z itself underflows
+        a, b, ln_a = z_lo[mid], z_hi[mid], (self.lo - x)[mid]
+        far = ln_a < -_EXP_CLAMP
+        e_lo = _exp1(np.where(far, 1.0, a))
+        e_lo[far] = -_EULER_GAMMA - ln_a[far]
+        out[mid] = np.log(e_lo - _exp1(b)) - math.log(w)
 
         # the e^{hi-x} term is smaller by e^{-(e^{w}-1) z} and drops out
         z = z_lo[big]
@@ -438,15 +440,17 @@ def to_json(law: NoiseLaw) -> str:
         d = {"type": "lattice", "k": law.top,
              "probs": [[v, p] for v, p in reversed(law.atoms)]}
     elif isinstance(law, SandwichedGumbelLaw):
-        d = {"type": "sandwiched_gumbel", "c": law.lo, "d": law.hi,
-             "shift_law": law.shift_law}
+        d = {"type": "sandwiched_gumbel", "c": law.lo, "d": law.hi}
     else:
         raise TypeError(f"cannot serialize {type(law).__name__}")
     return json.dumps(d)
 
 
 def from_json(text) -> NoiseLaw:
-    """Parse a law from a JSON string or an already-decoded dict."""
+    """Parse a law from a JSON string or an already-decoded dict.
+
+    A field the law does not take is refused, not ignored.
+    """
     d = json.loads(text) if isinstance(text, (str, bytes)) else dict(text)
     try:
         kind = d.pop("type")
@@ -454,17 +458,21 @@ def from_json(text) -> NoiseLaw:
         raise ValueError("noise spec missing 'type'") from None
     try:
         if kind == "gumbel":
-            return GumbelLaw(loc=float(d.pop("a", 0.0)),
-                             rate=float(d.pop("lambda", 1.0)))
-        if kind == "bernoulli":
-            return BernoulliLaw(p=float(d.pop("p")))
-        if kind == "lattice":
+            law = GumbelLaw(loc=float(d.pop("a", 0.0)),
+                            rate=float(d.pop("lambda", 1.0)))
+        elif kind == "bernoulli":
+            law = BernoulliLaw(p=float(d.pop("p")))
+        elif kind == "lattice":
             atoms = tuple((int(v), float(p)) for v, p in d.pop("probs"))
-            return LatticeLaw(top=int(d.pop("k")), atoms=atoms)
-        if kind == "sandwiched_gumbel":
-            return SandwichedGumbelLaw(lo=float(d.pop("c")),
-                                       hi=float(d.pop("d")),
-                                       shift_law=d.pop("shift_law", "uniform"))
+            law = LatticeLaw(top=int(d.pop("k")), atoms=atoms)
+        elif kind == "sandwiched_gumbel":
+            law = SandwichedGumbelLaw(lo=float(d.pop("c")),
+                                      hi=float(d.pop("d")))
+        else:
+            raise ValueError(f"unknown noise type {kind!r}")
     except KeyError as e:
         raise ValueError(f"noise spec missing field {e}") from None
-    raise ValueError(f"unknown noise type {kind!r}")
+    if d:
+        raise ValueError(f"unknown field(s) for a {kind} law: "
+                         f"{', '.join(sorted(map(repr, d)))}")
+    return law

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import engine, gumbel_exact
-from .engine import ParticleState, lse_front
+from .engine import ParticleState
 from .noise import _BLOCK_ELEMENTS, GumbelLaw, NoiseLaw
 
 __all__ = [
@@ -59,9 +59,13 @@ class ProfileSample:
             raise ValueError("profile values must be non-increasing in [0,1]")
 
 
-def empirical_profile(state: ParticleState, grid,
-                      center: float = 0.0) -> ProfileSample:
-    """Fraction of particles strictly above center + grid, one sort total."""
+def empirical_profile(state: ParticleState, grid) -> ProfileSample:
+    """Fraction of particles strictly above center + grid, one sort total.
+
+    The center is ``state.prev_front``, the front value the state recorded
+    at its previous step, as :func:`centered_ks` takes it.
+    """
+    center = state.prev_front
     if not math.isfinite(center):
         raise ValueError(f"profile center must be finite, got {center}; a "
                          f"state has a previous front only after a step")
@@ -71,6 +75,14 @@ def empirical_profile(state: ParticleState, grid,
     below = np.searchsorted(pos, grid + center, side="right")
     return ProfileSample(grid=grid, values=1.0 - below / n,
                          center=float(center), n=n, t=state.t)
+
+
+def _gumbel_target(law: NoiseLaw) -> tuple[float, float]:
+    """(rate, loc) of the Gumbel law the centered positions approach: the
+    noise's own under Gumbel noise, the unit Gumbel (1, 0) otherwise."""
+    if isinstance(law, GumbelLaw):
+        return law.rate, law.loc
+    return 1.0, 0.0
 
 
 def _wave_w(x, rate, loc):
@@ -138,19 +150,20 @@ class MarginalReport:
 
 def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
                          rng: np.random.Generator, k: int = 4,
-                         replicas: int = 200, target_rate: float = 1.0,
-                         target_loc: float = 0.0) -> MarginalReport:
+                         replicas: int = 200) -> MarginalReport:
     """Test k centered coordinates for the i.i.d. Gumbel limit law.
 
-    Runs ``replicas`` independent systems for t steps, extracts
+    The target is Gumbel(loc, 1/rate) with the noise's own loc and rate
+    under Gumbel noise, and the unit Gumbel under other laws. Runs
+    ``replicas`` independent systems for t steps, extracts
     X_j(t) - Phi(X(t-1)) for the first k particles, Phi the log-sum-exp at
-    ``target_rate``, and reports the per-coordinate Kolmogorov distance to
-    Gumbel(target_loc, 1/target_rate) plus the largest pairwise sample
-    correlation. The replicas run through :func:`engine._replica_runs`:
-    under Gumbel noise several at a time on the exact kernel, on up to two
-    threads, and under other laws one at a time with the kernel
-    :func:`engine._position_blocks` picks; either way bit for bit what one
-    :func:`engine.advance` per replica gives.
+    the target rate, and reports the per-coordinate Kolmogorov distance to
+    the target plus the largest pairwise sample correlation. The replicas
+    run through :func:`engine._replica_runs`: under Gumbel noise several at
+    a time on the exact kernel, on up to two threads, and under other laws
+    one at a time with the kernel :func:`engine._position_blocks` picks;
+    either way bit for bit what one :func:`engine.advance` per replica
+    gives.
     """
     if t < 2:
         raise ValueError("need t >= 2")
@@ -158,7 +171,7 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
         raise ValueError("need 1 <= k <= n")
     if replicas < 2:
         raise ValueError("need replicas >= 2")
-    rate = lse_front(target_rate).param  # refuses a rate lse cannot take
+    rate, loc = _gumbel_target(law)
     sample = np.empty((replicas, k))
 
     def center(i, last, fronts):
@@ -166,9 +179,8 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
 
     engine._replica_runs(law, n, t, replicas, rng, center, rate)
     # each column is already centered: a state at offset 0 carries it
-    ks = np.array([centered_ks(ParticleState(sample[:, j], t, 0.0),
-                               target_rate, target_loc)
-                   for j in range(k)])
+    ks = np.array([centered_ks(ParticleState(sample[:, j], t, 0.0), rate,
+                               loc) for j in range(k)])
     if k > 1:
         corr = np.corrcoef(sample, rowvar=False)
         max_corr = float(np.max(np.abs(corr - np.eye(k))))

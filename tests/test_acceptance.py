@@ -18,6 +18,7 @@ from frontlab.engine import initial_state, lse_front
 from frontlab.noise import GumbelLaw, LatticeLaw, SandwichedGumbelLaw
 
 from conftest import make_rng
+from gumbel_oracles import speeded_front_samples
 from wave_oracles import reaction_term, traveling_wave_residual
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
@@ -92,7 +93,7 @@ def test_c05_stable_limit_trend_and_independence():
     assert dists[-1] <= 0.2
 
     # disjoint-interval increments of the sped-up front: rank correlation
-    paths = gx.speeded_front_samples(1000, 64, [0.0, 0.5, 1.0], 500, rng)
+    paths = speeded_front_samples(1000, 64, [0.0, 0.5, 1.0], 500, rng)
     inc_a = paths[:, 1] - paths[:, 0]
     inc_b = paths[:, 2] - paths[:, 1]
     r = stats.spearmanr(inc_a, inc_b).statistic

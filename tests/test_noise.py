@@ -105,7 +105,7 @@ def test_gumbel_zero_uniform_is_finite():
     assert GumbelLaw().sample(ZeroUniforms()) == want
     np.testing.assert_array_equal(GumbelLaw().sample(ZeroUniforms(), 3),
                                   np.full(3, want))
-    point = SandwichedGumbelLaw(0.0, 0.0, shift_law="point")
+    point = SandwichedGumbelLaw(0.0, 0.0)
     assert point.sample(ZeroUniforms()) == want
 
 
@@ -222,7 +222,7 @@ def test_lattice_validation():
 
 
 def test_sandwiched_point_equals_shifted_gumbel():
-    law = SandwichedGumbelLaw(0.2, 0.2, shift_law="point")
+    law = SandwichedGumbelLaw(0.2, 0.2)
     x = np.linspace(-4, 10, 57)
     np.testing.assert_allclose(law.log_cdf(x),
                                GumbelLaw(loc=0.2).log_cdf(x), rtol=1e-12)
@@ -359,6 +359,37 @@ def test_sandwiched_log_cdf_continuous_across_branch_edges(width):
     assert abs(big - mid) <= 1e-12 * abs(mid)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_sandwiched_very_wide_law_is_finite():
+    # z_lo = e^-800 and e^-805 underflow to 0; E1 there is -gamma - ln z_lo
+    from scipy.special import exp1
+    law = SandwichedGumbelLaw(-800.0, 0.0)
+    got = law.log_cdf([0.0, 5.0])
+    want = [math.log1p((-np.euler_gamma - exp1(1.0)) / 800.0),
+            math.log1p((5.0 - np.euler_gamma - exp1(math.exp(-5.0)))
+                       / 800.0)]
+    assert got[0] == pytest.approx(-9.962e-4, rel=1e-4)
+    # the mid branch's bound: ln F is good to 1e-13 absolute below |ln F| = 1
+    np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("width", [800.0, 1e4])
+def test_sandwiched_log_cdf_continuous_across_underflow_edge(width):
+    # at lo - x = -690 the mid branch swaps E1(z_lo) for -gamma - (lo - x)
+    law = SandwichedGumbelLaw(-width, 0.0)
+    edge = law.lo + noise._EXP_CLAMP
+    x = edge + np.arange(-64, 65) * abs(np.spacing(edge))
+    assert _branch_edges(law, x)[2].all()
+    # z_lo through E1 to the left, ln z_lo = lo - x to the right
+    i = np.flatnonzero(law.lo - x < -noise._EXP_CLAMP)[0]
+    assert i > 0
+    near, far = law.log_cdf(x[i - 1:i + 1])
+    assert abs(far - near) <= 1e-13 * abs(near)
+    ref = math.log((noise._EXP_CLAMP - np.euler_gamma) / width)
+    assert near == pytest.approx(ref, rel=1e-12)
+
+
 def test_sandwiched_sample_matches_cdf(rng):
     law = SandwichedGumbelLaw(-1.0, 0.5)
     x = law.sample(rng, 20_000)
@@ -368,8 +399,8 @@ def test_sandwiched_sample_matches_cdf(rng):
 
 def test_sandwiched_block_draw_equals_row_draws():
     # uniforms per element: block length cannot change the stream
-    for shift_law in ("uniform", "point"):
-        law = SandwichedGumbelLaw(-1.0, 0.5, shift_law=shift_law)
+    for law in (SandwichedGumbelLaw(-1.0, 0.5),
+                SandwichedGumbelLaw(-0.25, -0.25)):
         block = law.sample(np.random.default_rng(11), (3, 2, 2))
         rng = np.random.default_rng(11)
         rows = np.stack([law.sample(rng, (2, 2)) for _ in range(3)])
@@ -381,8 +412,6 @@ def test_sandwiched_validation():
         SandwichedGumbelLaw(1.0, 0.0)
     with pytest.raises(ValueError):
         SandwichedGumbelLaw(0.0, math.inf)
-    with pytest.raises(ValueError):
-        SandwichedGumbelLaw(0.0, 1.0, shift_law="triangular")
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +454,7 @@ def test_shift_bounds_for_delta():
     BernoulliLaw(p=0.3),
     THREE_ATOM,
     SandwichedGumbelLaw(-0.3, 0.3),
-    SandwichedGumbelLaw(0.1, 0.1, shift_law="point"),
+    SandwichedGumbelLaw(0.1, 0.1),
 ])
 def test_json_roundtrip(law):
     assert from_json(to_json(law)) == law
@@ -447,6 +476,22 @@ def test_json_errors():
         from_json('{"type": "triangular"}')
     with pytest.raises(ValueError):
         from_json('{"type": "bernoulli"}')
+
+
+@pytest.mark.parametrize("spec, key", [
+    ('{"type": "gumbel", "lamda": 2}', "lamda"),
+    ('{"type": "bernoulli", "p": 0.5, "q": 0.5}', "q"),
+    ('{"type": "lattice", "k": 0, "probs": [[0, 1.0]], "top": 0}', "top"),
+    ('{"type": "sandwiched_gumbel", "c": 0, "d": 1, "e": 2}', "e"),
+    # the point shift is the law SandwichedGumbelLaw(m, m)
+    ('{"type": "sandwiched_gumbel", "c": 0, "d": 1, "shift_law": "point"}',
+     "shift_law"),
+])
+def test_json_refuses_unknown_fields(spec, key):
+    # a misspelled or extra field is refused: read as absent, a misspelled
+    # optional field would leave its default in its place
+    with pytest.raises(ValueError, match=f"unknown field.*'{key}'"):
+        from_json(spec)
 
 
 # ---------------------------------------------------------------------------

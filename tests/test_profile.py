@@ -46,10 +46,13 @@ def test_empirical_profile_hand_case():
 
 
 def test_empirical_profile_center_shift():
+    # the profile is centered on the state's previous front
     state = engine.ParticleState(np.array([0.0, 1.0, 2.0]), t=1, prev_front=0.0)
-    a = empirical_profile(state, [-0.5, 0.5], center=1.0).values
+    shifted = engine.ParticleState(state.positions, t=1, prev_front=1.0)
+    a = empirical_profile(shifted, [-0.5, 0.5])
     b = empirical_profile(state, [0.5, 1.5]).values
-    np.testing.assert_array_equal(a, b)
+    np.testing.assert_array_equal(a.values, b)
+    assert a.center == 1.0
 
 
 def test_empirical_profile_counts_strictly_above():
@@ -60,10 +63,10 @@ def test_empirical_profile_counts_strictly_above():
 
 def test_empirical_profile_refuses_a_nonfinite_center():
     # a state at t = 0 carries prev_front = nan: no front to center on
-    state = initial_state(3)
-    for center in (state.prev_front, math.inf):
+    for state in (initial_state(3),
+                  engine.ParticleState(np.zeros(3), t=1, prev_front=math.inf)):
         with pytest.raises(ValueError, match="center must be finite"):
-            empirical_profile(state, [0.0, 1.0], center=center)
+            empirical_profile(state, [0.0, 1.0])
 
 
 def test_profile_sample_validation():
@@ -185,9 +188,10 @@ def test_marginal_gumbel_positive_control():
 
 
 def test_marginal_gumbel_negative_control():
-    # noise shifted by 5: centered coordinates miss the target by a mile
-    rep = marginal_gumbel_test(GumbelLaw(loc=5.0), 300, 2, make_rng(67),
-                               k=2, replicas=100)
+    # a Gumbel shifted by 5 that is not a GumbelLaw: the target is the unit
+    # Gumbel, and the centered coordinates miss it by a mile
+    rep = marginal_gumbel_test(SandwichedGumbelLaw(5.0, 5.0), 300, 2,
+                               make_rng(67), k=2, replicas=100)
     assert np.all(rep.ks > 0.5)
 
 
@@ -273,7 +277,8 @@ def test_replica_runs_match_advance(law, n, t, replicas, rate, cpus,
 def test_marginal_replica_route_matches_advance(law, n, t, replicas, rate,
                                                 cpus, monkeypatch):
     monkeypatch.setattr(noise, "_cpus", lambda: cpus)
-    kw = dict(k=3, replicas=replicas, target_rate=rate)
+    # the target, and so the front's rate, is the law's own
+    kw = dict(k=3, replicas=replicas)
     rng, ref_rng = make_rng(97), make_rng(97)
     got = marginal_gumbel_test(law, n, t, rng, **kw)
     with monkeypatch.context() as m:
