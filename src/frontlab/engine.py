@@ -12,6 +12,9 @@ Runs draw their noise in blocks. Max-plus products are associative, so at
 small N a block of full steps runs as a chunked two-level scan (chunk
 products vectorized over the chunks, one sequential step per chunk, then the
 chunk rows filled in together) instead of one Python-level step per row.
+At small N a reduction over the particles of a block (fronts, row maxima
+and minima, renewal screens, leaders) combines the N columns with one ufunc
+pass each, in place of numpy's row-by-row reduce, and gives numpy's result.
 """
 from __future__ import annotations
 
@@ -47,17 +50,51 @@ __all__ = [
 ]
 
 
+def _over_particles(ufunc: np.ufunc, x: np.ndarray) -> np.ndarray:
+    """``ufunc.reduce(x, axis=-1)`` for ``ufunc`` one of np.maximum,
+    np.minimum, np.add and np.logical_and.
+
+    Up to ``noise._COLUMN_MAX_N`` columns it is one ``ufunc`` pass per
+    column, in column order, the sum starting from 0.0 as numpy's does, so
+    each row combines its elements in numpy's order and the result is
+    numpy's bit for bit. numpy itself leaves one case open: where a maximum
+    or minimum is a tie of 0.0 and -0.0, its reduce returns either zero,
+    by the SIMD loop it dispatches to and the memory layout.
+    """
+    n = x.shape[-1]
+    if n > noise._COLUMN_MAX_N:
+        return ufunc.reduce(x, axis=-1)
+    acc = x[..., 0] + 0.0 if ufunc is np.add else x[..., 0].copy()
+    for j in range(1, n):
+        ufunc(acc, x[..., j], out=acc)
+    return acc
+
+
+def _leaders(rows: np.ndarray) -> np.ndarray:
+    """``rows.argmax(axis=-1)``: up to ``noise._COLUMN_MAX_N`` columns the
+    first column that equals the row's maximum, or is NaN."""
+    n = rows.shape[-1]
+    if n > noise._COLUMN_MAX_N:
+        return rows.argmax(axis=-1)
+    top = _over_particles(np.maximum, rows)
+    lead = np.full(top.shape, n - 1, dtype=np.intp)
+    for j in range(n - 2, -1, -1):
+        col = rows[..., j]
+        np.copyto(lead, j, where=(col == top) | np.isnan(col))
+    return lead
+
+
 def _log_sum_exps(rows: np.ndarray, rate: float,
                   tmp: np.ndarray | None = None) -> np.ndarray:
     """Stable m + ln(sum e^{rate (x - m)}) / rate over the last axis of
     ``rows``, m the max, through the scratch ``tmp`` of ``rows.size`` floats
     or more (a new buffer if None): frontlab's one log-sum-exp."""
-    m = rows.max(axis=-1)
+    m = _over_particles(np.maximum, rows)
     buf = (np.empty(rows.shape) if tmp is None
            else tmp[:rows.size].reshape(rows.shape))
     np.subtract(rows, m[..., None], out=buf)
     buf *= rate
-    return m + np.log(np.exp(buf, out=buf).sum(axis=-1)) / rate
+    return m + np.log(_over_particles(np.add, np.exp(buf, out=buf))) / rate
 
 
 def log_sum_exp(positions: np.ndarray, rate: float = 1.0) -> float:
@@ -96,9 +133,9 @@ class FrontFunctional:
         """The front of each row of a (T, N) block of configurations, bit
         for bit ``self(row)`` row by row."""
         if self.kind == "max":
-            return positions.max(axis=1)
+            return _over_particles(np.maximum, positions)
         if self.kind == "min":
-            return positions.min(axis=1)
+            return _over_particles(np.minimum, positions)
         if self.kind == "lse":
             return _log_sum_exps(positions, self.param)
         rank = int(self.param)
@@ -155,7 +192,8 @@ def is_renewal(noise: np.ndarray, leader: int | np.ndarray = 0
     if not stacked:
         noise = noise[None]
     lead = noise[np.arange(noise.shape[0]), :, leader]
-    hit = np.all(lead >= noise.max(axis=2), axis=1)
+    hit = _over_particles(np.logical_and,
+                          lead >= _over_particles(np.maximum, noise))
     return hit if stacked else bool(hit[0])
 
 
@@ -575,7 +613,7 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
         b = min(_STEP_BUDGET - steps, _full_block(n, wait))
         noise = law.sample(rng, (b, n, n))
         block = _full_steps(pos, noise)
-        leaders = np.vstack((pos, block[:-1])).argmax(axis=1)
+        leaders = _leaders(np.vstack((pos, block[:-1])))
         hits = np.flatnonzero(is_renewal(noise, leaders))
         marks.append(front.rows(block[hits]))
         mark_steps.append(steps + 1 + hits)
@@ -611,7 +649,8 @@ def run_trajectory(law: NoiseLaw, n: int, t: int,
     rows[0] = (0, front(pos), pos.max(), pos.min(), pos.max() - pos.min())
     i = 1
     for block in _position_blocks(law, t, rng, pos):
-        hi, lo = block.max(axis=1), block.min(axis=1)
+        hi = _over_particles(np.maximum, block)
+        lo = _over_particles(np.minimum, block)
         rows[i:i + block.shape[0]] = np.column_stack(
             (np.arange(i, i + block.shape[0]), front.rows(block), hi, lo,
              hi - lo))

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import engine, gumbel_exact
 from .engine import ParticleState
-from .noise import _BLOCK_ELEMENTS, GumbelLaw, NoiseLaw
+from .noise import _BLOCK_ELEMENTS, GumbelLaw, NoiseLaw, SandwichedGumbelLaw
 
 __all__ = [
     "ProfileSample",
@@ -79,9 +79,13 @@ def empirical_profile(state: ParticleState, grid) -> ProfileSample:
 
 def _gumbel_target(law: NoiseLaw) -> tuple[float, float]:
     """(rate, loc) of the Gumbel law the centered positions approach: the
-    noise's own under Gumbel noise, the unit Gumbel (1, 0) otherwise."""
+    noise's own under Gumbel noise, a point-width sandwiched law included
+    (the unit Gumbel shifted by its midpoint), the unit Gumbel (1, 0)
+    otherwise."""
     if isinstance(law, GumbelLaw):
         return law.rate, law.loc
+    if isinstance(law, SandwichedGumbelLaw) and law._is_point():
+        return 1.0, 0.5 * (law.lo + law.hi)
     return 1.0, 0.0
 
 
@@ -154,7 +158,8 @@ def marginal_gumbel_test(law: NoiseLaw, n: int, t: int,
     """Test k centered coordinates for the i.i.d. Gumbel limit law.
 
     The target is Gumbel(loc, 1/rate) with the noise's own loc and rate
-    under Gumbel noise, and the unit Gumbel under other laws. Runs
+    under Gumbel noise (a point-width sandwiched law is the unit Gumbel
+    shifted by its midpoint), and the unit Gumbel under other laws. Runs
     ``replicas`` independent systems for t steps, extracts
     X_j(t) - Phi(X(t-1)) for the first k particles, Phi the log-sum-exp at
     the target rate, and reports the per-coordinate Kolmogorov distance to

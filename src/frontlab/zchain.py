@@ -724,26 +724,39 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
     Draws the same multinomials as a ``lattice_step`` loop, but keeps each
     visited state's landing-class law, and each realized draw's successor
     and displacement, for the rest of the run: the chain keeps revisiting a
-    few states.
+    few states. A warning marks runs where the share of steps spent with the
+    lumped bottom slot occupied, the event whose stationary mass
+    :func:`lattice_speed` bounds, exceeds ``_BOUNDARY_TOL``: the window
+    truncates the chain there, and the speed is biased.
     """
     _check_batches(n_batches, steps)
     state = np.zeros(window, dtype=np.int64)
     state[-1] = n
     state = state.tobytes()
-    laws = {}   # state -> (class offsets, class law, {draw: (state, phi)})
+    # state -> (class offsets, class law, {draw: (state, phi)}, bottom slot
+    # occupied)
+    laws = {}
     moves = np.zeros(steps + 1)
+    edge_steps = 0
     for t in range(steps):
         visit = laws.get(state)
         if visit is None:
-            offsets, s = lattice_s(np.frombuffer(state, np.int64), law)
-            visit = laws[state] = (offsets, s / s.sum(), {})
-        offsets, probs, hops = visit
+            counts = np.frombuffer(state, np.int64)
+            offsets, s = lattice_s(counts, law)
+            visit = laws[state] = (offsets, s / s.sum(), {},
+                                   bool(counts[0] > 0))
+        offsets, probs, hops, edge = visit
+        edge_steps += edge
         draw = rng.multinomial(n, probs)
         hop = hops.get(draw.tobytes())
         if hop is None:
             targets, phi = _recenter(offsets, draw[None, :], window)
             hop = hops[draw.tobytes()] = (targets[0].tobytes(), float(phi[0]))
         state, moves[t + 1] = hop
+    if edge_steps / steps > _BOUNDARY_TOL:
+        warnings.warn(f"bottom slot occupied in {edge_steps / steps:g} of "
+                      f"the steps, above {_BOUNDARY_TOL:g}, at window "
+                      f"{window}")
     return batch_means(np.cumsum(moves), n_batches)
 
 

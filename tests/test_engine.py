@@ -713,3 +713,110 @@ def test_step_conditional_window_is_seed_independent(monkeypatch):
         step_conditional(state, law, rng)
         passes.append(len(calls))
     assert len(set(passes)) == 1, passes
+
+
+# ---------------------------------------------------------------------------
+# reductions over the particle axis: column passes up to N = 7, numpy's
+# reduce above. numpy's own reductions are the reference, bit for bit: equal
+# with NaN equal to NaN, and the same sign bits. Rows mix +-0.0, +-inf, NaN
+# and ties. numpy leaves two signs open, and there only the value is
+# compared: a NaN's (which NaN of a row propagates), and that of a max or
+# min that is a tie of 0.0 and -0.0 (its reduce returns either zero, by the
+# SIMD loop it dispatches to and the layout).
+# CI reruns these tests with numpy's dispatched SIMD targets turned off.
+
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1.0])
+_COLUMN_NS = list(range(1, noise._COLUMN_MAX_N + 2))  # and the fallback
+
+
+def _special(shape, seed):
+    """Draws from _SPECIAL, one row in three replaced by draws from four
+    normals: finite rows with ties, whose sums round."""
+    rng = make_rng(seed)
+    x = _SPECIAL[rng.integers(0, _SPECIAL.size, shape)]
+    plain = rng.normal(size=4)[rng.integers(0, 4, shape)]
+    return np.where(rng.random(shape[:-1])[..., None] < 1 / 3, plain, x)
+
+
+def _zero_tie(x, value):
+    """Where ``value`` (a max or min of the rows of x) is a 0.0/-0.0 tie."""
+    zero = x == 0.0
+    return ((value == 0.0) & np.any(zero & np.signbit(x), axis=-1)
+            & np.any(zero & ~np.signbit(x), axis=-1))
+
+
+def _assert_bits(got, want, open_sign=False):
+    assert got.dtype == want.dtype and got.shape == want.shape
+    assert np.array_equal(got, want, equal_nan=True)
+    same_sign = np.signbit(got) == np.signbit(want)
+    if want.dtype.kind == "f":
+        same_sign |= np.isnan(want)
+    assert np.all(same_sign | open_sign)
+
+
+def _layouts(n, seed):
+    """2-D rows, a 3-D block, and a strided view like fresh[:, :-1]."""
+    wide = _special((7, 300, n + 3), seed)
+    return (_special((3000, n), seed + 1), _special((4, 250, n), seed + 2),
+            wide[:, :-1, :n])
+
+
+@pytest.mark.parametrize("n", _COLUMN_NS)
+def test_column_reductions_are_numpys(n):
+    for x in _layouts(n, 200 + n):
+        for ufunc in (np.maximum, np.minimum, np.add):
+            with np.errstate(invalid="ignore"):
+                got = engine._over_particles(ufunc, x)
+                want = ufunc.reduce(x, axis=-1)
+            _assert_bits(got, want, ufunc is not np.add and _zero_tie(x, want))
+        flags = x > 0.0
+        _assert_bits(engine._over_particles(np.logical_and, flags),
+                     np.all(flags, axis=-1))
+
+
+@pytest.mark.parametrize("n", _COLUMN_NS)
+@pytest.mark.parametrize("rate", [1.0, 0.3])
+def test_column_log_sum_exps_is_numpys(n, rate):
+    for x in _layouts(n, 300 + n):
+        with np.errstate(invalid="ignore", over="ignore"):
+            got = engine._log_sum_exps(x, rate)
+            m = x.max(axis=-1)
+            want = m + np.log(np.exp((x - m[..., None]) * rate).sum(axis=-1)
+                              ) / rate
+        _assert_bits(got, want)
+
+
+@pytest.mark.parametrize("n", _COLUMN_NS)
+def test_column_fronts_are_numpys(n):
+    x = _special((3000, n), 400 + n)
+    rank = min(3, n)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m = x.max(axis=1)
+        cases = [
+            (MAX_FRONT, m, _zero_tie(x, m)),
+            (MIN_FRONT, x.min(axis=1), _zero_tie(x, x.min(axis=1))),
+            (lse_front(0.7), m + np.log(np.exp(
+                (x - m[:, None]) * 0.7).sum(axis=1)) / 0.7, False),
+            (order_front(rank), np.partition(x, -rank, axis=1)[:, -rank],
+             False)]
+        for front, want, open_sign in cases:
+            _assert_bits(front.rows(x), want, open_sign)
+
+
+@pytest.mark.parametrize("n", _COLUMN_NS)
+def test_column_is_renewal_is_numpys(n):
+    rng = make_rng(500 + n)
+    for noise_block in (_special((2000, n, n), 510 + n),
+                        BernoulliLaw(0.5).sample(rng, (2000, n, n))):
+        leaders = rng.integers(0, n, 2000)
+        lead = noise_block[np.arange(2000), :, leaders]
+        want = np.all(lead >= noise_block.max(axis=2), axis=1)
+        _assert_bits(is_renewal(noise_block, leaders), want)
+    assert 0 < want.sum() < 2000 or n == 1  # Bernoulli noise: both outcomes
+
+
+@pytest.mark.parametrize("n", _COLUMN_NS)
+def test_column_leaders_are_argmax(n):
+    rows = np.vstack((_special((3000, n), 600 + n),
+                      BernoulliLaw(0.5).sample(make_rng(601), (500, n))))
+    _assert_bits(engine._leaders(rows), rows.argmax(axis=1))

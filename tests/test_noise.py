@@ -534,3 +534,43 @@ def test_unit_rule_is_shared_by_every_route(row, unit, monkeypatch):
     blocks = [b.shape[0] for b in engine._position_blocks(
         GumbelLaw(), count, make_rng(3), np.zeros(row))]
     assert recip == replicas == blocks == want
+
+
+class _Uniforms:
+    """Generator stub that hands out the given uniforms in order."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, size=None):
+        u, self.u = np.split(self.u, [math.prod(np.atleast_1d(size))])
+        return u.reshape(size)
+
+
+@pytest.mark.parametrize("atoms", [
+    ((0, 1.0),),
+    ((0, 0.4), (-1, 0.0), (-3, 0.6)),           # a zero-probability atom
+    ((2, 0.5), (0, 0.5), (-4, 0.0)),            # ... at the bottom
+    tuple((v, 0.125) for v in range(-7, 1)),    # 7 sums, the last counted
+    tuple((v, 0.1) for v in range(-8, 2)),      # more atoms than the cutoff
+])
+def test_lattice_column_sample_is_searchsorted(atoms):
+    # LatticeLaw.sample counts the cumulative sums below u up to
+    # noise._COLUMN_MAX_N + 1 atoms: searchsorted(cum, u) (side left) is
+    # the reference, and the generator is read the same
+    law = LatticeLaw(top=max(v for v, p in atoms if p > 0), atoms=atoms)
+    assert (law.values.size <= noise._COLUMN_MAX_N + 1) == (len(atoms) < 10)
+    rng, ref = make_rng(29), make_rng(29)
+    for size in ((300, 3, 3), 17, None):
+        got = law.sample(rng, size)
+        want = law.values[np.searchsorted(law._cum, ref.random(size))]
+        assert type(got) is type(want.astype(float))
+        np.testing.assert_array_equal(got, want.astype(float))
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    # uniforms at and next to each cumulative sum, and 0
+    cum = law._cum[:-1]
+    u = np.concatenate(([0.0], cum, np.nextafter(cum, 0.0),
+                        np.nextafter(cum, 1.0), [np.nextafter(1.0, 0.0)]))
+    np.testing.assert_array_equal(
+        law.sample(_Uniforms(u), u.size),
+        law.values[np.searchsorted(law._cum, u)].astype(float))

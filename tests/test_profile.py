@@ -188,11 +188,23 @@ def test_marginal_gumbel_positive_control():
 
 
 def test_marginal_gumbel_negative_control():
-    # a Gumbel shifted by 5 that is not a GumbelLaw: the target is the unit
-    # Gumbel, and the centered coordinates miss it by a mile
-    rep = marginal_gumbel_test(SandwichedGumbelLaw(5.0, 5.0), 300, 2,
+    # a Gumbel shifted by a uniform on [4, 6] is no shifted Gumbel: the
+    # target is the unit Gumbel, and the centered coordinates miss it by a
+    # mile
+    rep = marginal_gumbel_test(SandwichedGumbelLaw(4.0, 6.0), 300, 2,
                                make_rng(67), k=2, replicas=100)
     assert np.all(rep.ks > 0.5)
+
+
+@pytest.mark.parametrize("law", [GumbelLaw(loc=5.0),
+                                 SandwichedGumbelLaw(5.0, 5.0)])
+def test_marginal_shifted_gumbel_positive_control(law):
+    # the point-width sandwiched law is the unit Gumbel shifted by 5, the
+    # same law as GumbelLaw(loc=5.0), and is tested against it
+    assert profile._gumbel_target(law) == (1.0, 5.0)
+    rep = marginal_gumbel_test(law, 300, 2, make_rng(61), k=3, replicas=200)
+    band = math.sqrt(math.log(2 / 1e-3) / (2 * 200))
+    assert np.all(rep.ks < band)
 
 
 def test_marginal_lattice_route_runs():

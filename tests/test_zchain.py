@@ -1,5 +1,6 @@
 import functools
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -673,14 +674,18 @@ def _ref_chain_sim(law, n, steps, rng, window):
     return engine.batch_means(np.cumsum(moves), 32)
 
 
-@pytest.mark.parametrize("law,n,window", [
-    pytest.param(THREE_ATOM, 2, 16, id="three-2"),
-    pytest.param(THREE_ATOM, 3, 16, id="three-3"),
-    pytest.param(FIVE_ATOM, 4, 3, id="five-4-lumped"),  # depths <= -2 lump
+@pytest.mark.parametrize("law,n,window,lumped", [
+    pytest.param(THREE_ATOM, 2, 16, False, id="three-2"),
+    pytest.param(THREE_ATOM, 3, 16, False, id="three-3"),
+    pytest.param(FIVE_ATOM, 4, 3, True, id="five-4-lumped"),  # depths <= -2
 ])
-def test_lattice_chain_sim_equals_step_loop(law, n, window):
-    got = lattice_chain_sim(law, n, 4000, make_rng(61), window=window)
+def test_lattice_chain_sim_equals_step_loop(law, n, window, lumped):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        got = lattice_chain_sim(law, n, 4000, make_rng(61), window=window)
     assert got == _ref_chain_sim(law, n, 4000, make_rng(61), window)
+    # the lumped window truncates the chain, and the run says so
+    assert len(caught) == lumped
 
 
 def test_five_atom_n8_chain():
@@ -782,6 +787,20 @@ def test_lattice_truncation_warns(monkeypatch):
     with pytest.warns(UserWarning):
         rep = lattice_speed(deep, 2, window=4)
     assert rep.truncated
+
+
+def test_lattice_chain_sim_warns_on_a_small_window():
+    # window 2 reads the speed 6.7 SE off the exact one at 200 000 steps;
+    # lattice_speed widens the same window to 8, where the bottom slot
+    # stays empty
+    law = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.3), (-3, 0.3)))
+    with pytest.warns(UserWarning, match="bottom slot occupied in .* at "
+                      "window 2"):
+        lattice_chain_sim(law, 3, 20_000, make_rng(83), window=2)
+    assert lattice_speed(law, 3, window=2).window == 8
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        lattice_chain_sim(law, 3, 20_000, make_rng(83), window=8)
 
 
 def test_lattice_state_cap(monkeypatch):
