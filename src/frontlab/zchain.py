@@ -746,7 +746,8 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
             visit = laws[state] = (offsets, s / s.sum(), {},
                                    bool(counts[0] > 0))
         offsets, probs, hops, edge = visit
-        edge_steps += edge
+        if edge:
+            edge_steps += 1
         draw = rng.multinomial(n, probs)
         hop = hops.get(draw.tobytes())
         if hop is None:
