@@ -725,7 +725,7 @@ def test_step_conditional_window_is_seed_independent(monkeypatch):
 # SIMD loop it dispatches to and the layout).
 # CI reruns these tests with numpy's dispatched SIMD targets turned off.
 
-_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 1.0])
+_SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0])
 _COLUMN_NS = list(range(1, noise._COLUMN_MAX_N + 2))  # and the fallback
 
 
