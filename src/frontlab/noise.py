@@ -142,7 +142,7 @@ _BLOCK_ELEMENTS = 4_000_000
 # pass per column (engine._over_particles), and LatticeLaw.sample compares
 # its uniforms with up to this many cumulative sums one by one: numpy
 # reduces a short last axis row by row, and x.max(axis=1) over 12 800 rows
-# of 2 took 474 us against 8 us for np.maximum of the two columns (2-core
+# of 2 took 640 us against 10 us for np.maximum of the two columns (2-core
 # x86 box, numpy 2.4.6). Below 8 elements numpy's pairwise sum adds in
 # order from 0.0, so the column passes give its sums bit for bit.
 _COLUMN_MAX_N = 7
