@@ -138,14 +138,6 @@ _UNIT_ELEMENTS = 1 << 16
 # Floats a chunked temporary (a block of full steps and its scan, a slice of
 # an outer product) holds at most
 _BLOCK_ELEMENTS = 4_000_000
-# Up to this many columns a reduction over the last axis runs as one ufunc
-# pass per column (engine._over_particles), and LatticeLaw.sample compares
-# its uniforms with up to this many cumulative sums one by one: numpy
-# reduces a short last axis row by row, and x.max(axis=1) over 12 800 rows
-# of 2 took 640 us against 10 us for np.maximum of the two columns (2-core
-# x86 box, numpy 2.4.6). Below 8 elements numpy's pairwise sum adds in
-# order from 0.0, so the column passes give its sums bit for bit.
-_COLUMN_MAX_N = 7
 
 
 def _draw_units(rng: np.random.Generator, count: int, shape: tuple,
@@ -318,14 +310,11 @@ class LatticeLaw(NoiseLaw):
 
     def sample(self, rng, size=None):
         u = rng.random(size)
-        if self._cum.size > _COLUMN_MAX_N + 1:
-            idx = np.searchsorted(self._cum, u)
-        else:
-            # searchsorted's index: the count of cumulative sums below u,
-            # one pass per sum (u < 1 = cum[-1] never counts)
-            idx = (u > self._cum[0]).view(np.uint8)
-            for c in self._cum[1:-1]:
-                idx += u > c
+        # searchsorted(cum, u)'s index: the count of cumulative sums below
+        # u, one pass per sum (u < 1 = cum[-1] never counts)
+        idx = np.zeros(np.shape(u), np.min_scalar_type(self._cum.size - 1))
+        for c in self._cum[:-1]:
+            idx += u > c
         return self._values.astype(float)[idx]
 
     def log_cdf(self, x):

@@ -726,7 +726,7 @@ def test_step_conditional_window_is_seed_independent(monkeypatch):
 # CI reruns these tests with numpy's dispatched SIMD targets turned off.
 
 _SPECIAL = np.array([0.0, -0.0, np.inf, -np.inf, np.nan, 1.0, -1.0, 2.0])
-_COLUMN_NS = list(range(1, noise._COLUMN_MAX_N + 2))  # and the fallback
+_COLUMN_NS = list(range(1, engine._COLUMN_MAX_N + 2))  # and the fallback
 
 
 def _special(shape, seed):
@@ -746,6 +746,7 @@ def _zero_tie(x, value):
 
 
 def _assert_bits(got, want, open_sign=False):
+    assert type(got) is type(want)
     assert got.dtype == want.dtype and got.shape == want.shape
     assert np.array_equal(got, want, equal_nan=True)
     same_sign = np.signbit(got) == np.signbit(want)
@@ -755,10 +756,11 @@ def _assert_bits(got, want, open_sign=False):
 
 
 def _layouts(n, seed):
-    """2-D rows, a 3-D block, and a strided view like fresh[:, :-1]."""
+    """2-D rows, a 3-D block, a strided view like fresh[:, :-1], and single
+    1-D rows."""
     wide = _special((7, 300, n + 3), seed)
     return (_special((3000, n), seed + 1), _special((4, 250, n), seed + 2),
-            wide[:, :-1, :n])
+            wide[:, :-1, :n], *_special((40, n), seed + 3))
 
 
 @pytest.mark.parametrize("n", _COLUMN_NS)
@@ -820,3 +822,5 @@ def test_column_leaders_are_argmax(n):
     rows = np.vstack((_special((3000, n), 600 + n),
                       BernoulliLaw(0.5).sample(make_rng(601), (500, n))))
     _assert_bits(engine._leaders(rows), rows.argmax(axis=1))
+    for row in rows[:40]:  # single rows
+        _assert_bits(engine._leaders(row), row.argmax())

@@ -552,14 +552,15 @@ class _Uniforms:
     ((0, 0.4), (-1, 0.0), (-3, 0.6)),           # a zero-probability atom
     ((2, 0.5), (0, 0.5), (-4, 0.0)),            # ... at the bottom
     tuple((v, 0.125) for v in range(-7, 1)),    # 7 sums, the last counted
-    tuple((v, 0.1) for v in range(-8, 2)),      # more atoms than the cutoff
+    tuple((v, 0.1) for v in range(-8, 2)),
+    tuple((v, 1 / 256) for v in range(-255, 1)),  # counts up to 255: uint8
+    tuple((v, 1 / 257) for v in range(-256, 1)),  # up to 256: a wider count
 ])
 def test_lattice_column_sample_is_searchsorted(atoms):
-    # LatticeLaw.sample counts the cumulative sums below u up to
-    # noise._COLUMN_MAX_N + 1 atoms: searchsorted(cum, u) (side left) is
-    # the reference, and the generator is read the same
+    # LatticeLaw.sample counts the cumulative sums below u:
+    # searchsorted(cum, u) (side left) is the reference, and the generator
+    # is read the same
     law = LatticeLaw(top=max(v for v, p in atoms if p > 0), atoms=atoms)
-    assert (law.values.size <= noise._COLUMN_MAX_N + 1) == (len(atoms) < 10)
     rng, ref = make_rng(29), make_rng(29)
     for size in ((300, 3, 3), 17, None):
         got = law.sample(rng, size)
