@@ -162,7 +162,7 @@ def _lattice_law(probs: str) -> LatticeLaw:
     return law
 
 
-def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
+def _zchain_cell(dist, n, q, probs, mode, steps, rng):
     """One zchain speed row; shared by the subcommand and sweep workers.
 
     The gap to the top speed is read off the chain directly (nu(0), or the
@@ -177,9 +177,9 @@ def _zchain_cell(dist, n, q, probs, mode, steps, window, rng):
         q_out = float(qv)
     else:
         law = _lattice_law(probs)
-        rep = zchain.lattice_speed(law, n, window=window)
+        rep = zchain.lattice_speed(law, n)
         v_exact, gap = rep.value, rep.ladder.sum()
-        sim = zchain.lattice_chain_sim(law, n, steps, rng, window=rep.window)
+        sim = zchain.lattice_chain_sim(law, n, steps, rng)
         q_out = 1.0 - law.prob_of(law.top)
     scale = q_out ** (n * n) * 2.0 ** n
     # no ratio where the scale is 0: a point mass at the top, or underflow
@@ -197,7 +197,7 @@ def _run_zchain(args, seed):
         if exact and args.dist == "lattice":
             raise ValueError("precise mode covers the two-point chain only")
         row = _zchain_cell(args.dist, args.n, args.q, args.probs, args.mode,
-                           args.steps, args.window, _rng(seed))
+                           args.steps, _rng(seed))
         header = ["N", "q", "v_exact", "v_sim", "se", "ratio_to_asymptotic"]
         if args.emit == "json":
             return "json", dict(zip(header, row), seed=seed)
@@ -215,14 +215,12 @@ def _run_zchain(args, seed):
     # ladder report: lattice stationary dive probabilities
     if args.dist != "lattice":
         raise ValueError("ladder report is for the lattice chain")
-    rep = zchain.lattice_speed(_lattice_law(args.probs), args.n,
-                               window=args.window)
+    rep = zchain.lattice_speed(_lattice_law(args.probs), args.n)
     obj = {
         "N": args.n,
         "v_exact": rep.value,
         "window": rep.window,
         "n_states": rep.n_states,
-        "boundary_mass": rep.boundary_mass,
         "ladder": list(rep.ladder),
         "ladder_bounds": list(rep.ladder_bounds),
         "seed": seed,
@@ -286,7 +284,7 @@ def _run_scaling(args, seed):
 
 def _sweep_cell(n, q, steps, seed, index):
     try:
-        row = _zchain_cell("bernoulli", n, q, None, "float", steps, 16,
+        row = _zchain_cell("bernoulli", n, q, None, "float", steps,
                            _rng(seed, index))
         return [str(row[0])] + [_fmt(v) for v in row[1:]] + ["ok"]
     except Exception as e:  # cell failures are flagged, not fatal
@@ -427,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
                    default="speed")
     p.add_argument("--steps", type=int, default=100_000,
                    help="simulation steps for the v_sim column")
-    p.add_argument("--window", type=int, default=16)
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("profile", help="front-profile tests and dumps")

@@ -258,7 +258,8 @@ class LatticeLaw(NoiseLaw):
     """Integer-valued jump law with finite support and top atom at ``top``.
 
     ``atoms`` maps value -> probability, values <= top, probabilities summing
-    to 1.
+    to 1. ``atoms`` keeps zero-probability values as given; ``values``,
+    ``bottom`` and the sampler see only the positive ones.
     """
 
     top: int
@@ -275,12 +276,13 @@ class LatticeLaw(NoiseLaw):
         total = math.fsum(p for _, p in pairs)
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, not 1")
-        vmax = max(v for v, p in pairs if p > 0.0)
+        support = [(v, p) for v, p in pairs if p > 0.0]
+        vmax = support[-1][0]
         if vmax != self.top:
             raise ValueError(f"top atom is {vmax}, declared top {self.top}")
         object.__setattr__(self, "atoms", tuple(pairs))
-        object.__setattr__(self, "_values", np.array([v for v, _ in pairs]))
-        cum = np.cumsum([p for _, p in pairs])
+        object.__setattr__(self, "_values", np.array([v for v, _ in support]))
+        cum = np.cumsum([p for _, p in support])
         cum[-1] = 1.0
         object.__setattr__(self, "_cum", cum)
 

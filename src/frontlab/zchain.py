@@ -11,13 +11,15 @@ exact solves use: one uniform per step, bisected on the cumulative row of the
 current count.
 
 General bounded integer jumps are handled by the depth-count chain: the state
-counts particles at depths 0, -1, ..., -(W-1) behind the current leader
-(depth 0 always occupied, depths below the window lumped into the bottom
-slot). One offspring lands at displacement r relative to the old leader with
-probability s_r = prod_w F(r - d_w)^{c_w} - prod_w F(r - 1 - d_w)^{c_w}
-(d_w = source depths), the N offspring counts are multinomial over the
-classes, and the state recenters on the realized maximum. Speeds come from
-the stationary mean of the per-step leader displacement.
+counts particles at depths 0, -1, ..., -span behind the current leader
+(span = top - bottom, depth 0 always occupied). One offspring lands at
+displacement r relative to the old leader with probability
+s_r = prod_w F(r - d_w)^{c_w} - prod_w F(r - 1 - d_w)^{c_w} (d_w = source
+depths), the N offspring counts are multinomial over the classes, and the
+state recenters on the realized maximum. The old leader is a parent of
+every offspring, so none lands below it plus bottom, nor the new leader
+above it plus top: the span + 1 slots hold the chain exactly. Speeds come
+from the stationary mean of the per-step leader displacement.
 
 The reachable depth states are enumerated on arrays: the compositions of N
 into k landing classes are built once per k, every composition is recentered
@@ -77,11 +79,9 @@ _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
 _SIM_BATCHES = 32      # batch-means batches of the chain simulations
 _SIM_BLOCK = 1 << 12   # uniforms per block draw of the chain simulation
-_BOUNDARY_TOL = 1e-12  # largest stationary mass on the lumped bottom slot
 # largest depth-chain state space lattice_speed solves: its dense solve
 # holds two (states, states) float64 matrices, 2 x 134 MB at this cap
 _MAX_STATES = 4096
-_WIDENINGS = 3         # window doublings lattice_speed may take
 
 
 def parse_q(q, exact: bool = False):
@@ -514,19 +514,21 @@ def lattice_s(counts, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
     """Landing-class law of one offspring given the current depth counts.
 
     ``counts[w]`` particles sit at depth w - (W-1) behind the leader (the top
-    slot, depth 0, must be occupied). Returns ``(offsets, probs)`` where
-    ``offsets`` runs over the displacement classes bottom + 1 - W, ...,
-    law.top relative to the current leader; mass below the lowest class is
-    lumped into it. The cumulative products telescope, so probs sums to 1
-    exactly up to rounding.
+    slot, depth 0, must be occupied), over W >= span + 1 slots. Returns
+    ``(offsets, probs)`` where ``offsets`` runs over the displacement
+    classes law.bottom, ..., law.top relative to the current leader (the
+    leader is a parent, so no offspring lands lower). The cumulative
+    products telescope, so probs sums to 1 exactly up to rounding.
     """
     counts = np.asarray(counts)
     w = counts.size
+    if w <= law.top - law.bottom:
+        raise ValueError(f"need span + 1 depth slots, got {w}")
     if counts[-1] < 1:
         raise ValueError("top slot (the leader) must be occupied")
     occ = np.nonzero(counts)[0]
     depths = occ - (w - 1)
-    offsets = np.arange(law.bottom - (w - 1), law.top + 1)
+    offsets = np.arange(law.bottom, law.top + 1)
     # cum[r] = P(one offspring displaces by <= offsets[r])
     args = offsets[:, None] - depths[None, :]
     cum = np.prod(law.cdf_int(args) ** counts[occ][None, :], axis=1)
@@ -540,14 +542,15 @@ def lattice_s(counts, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
 def _recenter(offsets, splits, window: int) -> tuple[np.ndarray, np.ndarray]:
     """Fold rows of realized class counts into depth states.
 
-    ``splits`` is (m, k) over the classes ``offsets``; returns the (m, window)
-    states and the (m,) leader displacements phi, each row's last occupied
-    class.
+    ``splits`` is (m, k) over the classes ``offsets``, which span at most
+    ``window`` - 1; returns the (m, window) states and the (m,) leader
+    displacements phi, each row's last occupied class. Classes above phi
+    are empty and fold onto the leader's slot.
     """
     m, k = splits.shape
     lead = k - 1 - np.argmax(splits[:, ::-1] > 0, axis=1)
     phi = offsets[lead]
-    slots = np.clip(offsets[None, :] - phi[:, None], 1 - window, 0) + window - 1
+    slots = np.minimum(offsets[None, :] - phi[:, None], 0) + window - 1
     slots += window * np.arange(m)[:, None]
     states = np.bincount(slots.ravel(), weights=splits.ravel(),
                          minlength=m * window)  # integer sums, exact
@@ -567,12 +570,12 @@ def lattice_step(counts, law: LatticeLaw,
 @dataclass(frozen=True)
 class LatticeSpeedReport:
     value: float
-    window: int
+    window: int                # depth slots, span + 1
     n_states: int
-    boundary_mass: float
+    boundary_mass: float       # always 0.0: no depth is lumped
     ladder: np.ndarray         # stationary P(step displacement <= top - j)
     ladder_bounds: np.ndarray  # provable caps F(top - j)^N
-    truncated: bool
+    truncated: bool            # always False
 
 
 def _compositions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -600,7 +603,7 @@ def _compositions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return comps, coeff.astype(float)
 
 
-def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
+def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
     """BFS the reachable depth states from all-at-leader; sparse rows.
 
     Returns (states, rows, cums) where rows[i] maps successor index to
@@ -617,6 +620,7 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
     order, so rows are bit-identical to a per-composition loop. New states
     are numbered in order of first appearance, which keeps the BFS order.
     """
+    window = law.top - law.bottom + 1
     start = np.zeros(window, dtype=np.int64)
     start[-1] = n
     index = {start.tobytes(): 0}
@@ -646,7 +650,7 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
                 if j is None:
                     if len(states) >= max_states:
                         raise RuntimeError(
-                            f"windowed state space exceeds {max_states} "
+                            f"depth state space exceeds {max_states} "
                             f"states, the dense stationary solve's bound")
                     j = index[key] = len(states)
                     target = np.frombuffer(key, dtype=np.int64)
@@ -671,93 +675,71 @@ def _lattice_chain(law: LatticeLaw, n: int, window: int, max_states: int):
 
 def lattice_speed(law: LatticeLaw, n: int,
                   window: int = 16) -> LatticeSpeedReport:
-    """Exact (windowed) front speed for a bounded integer jump law.
+    """Exact front speed for a bounded integer jump law.
 
-    Enumerates the reachable depth states, solves the stationary law, and
-    reports the speed as the stationary mean of the per-step leader
-    displacement. The window widens (doubling, up to ``_WIDENINGS`` times)
-    while the stationary mass touching the lumped bottom slot exceeds
-    ``_BOUNDARY_TOL``; a warning marks reports where it still does.
+    Enumerates the reachable depth states on span + 1 slots, solves the
+    stationary law, and reports the speed as the stationary mean of the
+    per-step leader displacement. ``window`` is not read: the slots follow
+    from the law, and any value but 16 warns.
     """
+    if window != 16:
+        warnings.warn("lattice_speed: window is ignored; the depth chain "
+                      "runs on span + 1 slots, derived from the law",
+                      DeprecationWarning, stacklevel=2)
     if n < 1:
         raise ValueError("need n >= 1")
-    if window < 2:
-        raise ValueError("window must be >= 2")
-    for attempt in range(_WIDENINGS + 1):
-        states, rows, cums = _lattice_chain(law, n, window, _MAX_STATES)
-        size = len(states)
-        cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
-        probs = np.fromiter(itertools.chain.from_iterable(
-            row.values() for row in rows), dtype=float, count=cols.size)
-        p = np.zeros((size, size))
-        p[np.repeat(np.arange(size), [len(row) for row in rows]), cols] = probs
-        nu = _stationary(p)
-
-        arr = np.array(states)
-        boundary = float(nu[arr[:, 0] > 0].sum())
-        if boundary <= _BOUNDARY_TOL or attempt == _WIDENINGS:
-            break
-        window *= 2
-    if boundary > _BOUNDARY_TOL:
-        warnings.warn(f"boundary mass {boundary:g} above {_BOUNDARY_TOL:g} "
-                      f"after widening to window {window}")
+    states, rows, cums = _lattice_chain(law, n, _MAX_STATES)
+    size = len(states)
+    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
+    probs = np.fromiter(itertools.chain.from_iterable(
+        row.values() for row in rows), dtype=float, count=cols.size)
+    p = np.zeros((size, size))
+    p[np.repeat(np.arange(size), [len(row) for row in rows]), cols] = probs
+    nu = _stationary(p)
 
     # P(step displacement <= class r | state) = cum_r^n, so the speed is
     # top - sum over classes below top of the stationary dive probabilities
     cum_n = np.array([c ** n for c in cums])
     dive = nu @ cum_n                  # indexed by class, bottom..top
     value = law.top - float(dive[:-1].sum())
-    ladder = dive[-2::-1]              # P_nu(phi <= top - j), j = 1, 2, ...
+    ladder = dive[-2::-1]              # P_nu(phi <= top - j), j = 1..span
     span = ladder.size
     return LatticeSpeedReport(
-        value=value, window=window, n_states=size, boundary_mass=boundary,
+        value=value, window=span + 1, n_states=size, boundary_mass=0.0,
         ladder=ladder,
         ladder_bounds=law.cdf_int(law.top - np.arange(1, span + 1)) ** n,
-        truncated=boundary > _BOUNDARY_TOL)
+        truncated=False)
 
 
 def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
-                      rng: np.random.Generator, window: int = 16,
+                      rng: np.random.Generator,
                       n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated depth-chain speed: batch means of leader displacements.
 
-    Draws the same multinomials as a ``lattice_step`` loop, but keeps each
-    visited state's landing-class law, and each realized draw's successor
-    and displacement, for the rest of the run: the chain keeps revisiting a
-    few states. A warning marks runs where the share of steps spent with the
-    lumped bottom slot occupied, the event whose stationary mass
-    :func:`lattice_speed` bounds, exceeds ``_BOUNDARY_TOL``: the window
-    truncates the chain there, and the speed is biased.
+    Draws the same multinomials as a ``lattice_step`` loop on span + 1
+    depth slots, but keeps each visited state's landing-class law, and each
+    realized draw's successor and displacement, for the rest of the run:
+    the chain keeps revisiting a few states.
     """
     _check_batches(n_batches, steps)
+    window = law.top - law.bottom + 1
     state = np.zeros(window, dtype=np.int64)
     state[-1] = n
     state = state.tobytes()
-    # state -> (class offsets, class law, {draw: (state, phi)}, bottom slot
-    # occupied)
-    laws = {}
+    laws = {}  # state -> (class offsets, class law, {draw: (state, phi)})
     moves = np.zeros(steps + 1)
-    edge_steps = 0
     for t in range(steps):
         visit = laws.get(state)
         if visit is None:
-            counts = np.frombuffer(state, np.int64)
-            offsets, s = lattice_s(counts, law)
-            visit = laws[state] = (offsets, s / s.sum(), {},
-                                   bool(counts[0] > 0))
-        offsets, probs, hops, edge = visit
-        if edge:
-            edge_steps += 1
+            offsets, s = lattice_s(np.frombuffer(state, np.int64), law)
+            visit = laws[state] = (offsets, s / s.sum(), {})
+        offsets, probs, hops = visit
         draw = rng.multinomial(n, probs)
         hop = hops.get(draw.tobytes())
         if hop is None:
             targets, phi = _recenter(offsets, draw[None, :], window)
             hop = hops[draw.tobytes()] = (targets[0].tobytes(), float(phi[0]))
         state, moves[t + 1] = hop
-    if edge_steps / steps > _BOUNDARY_TOL:
-        warnings.warn(f"bottom slot occupied in {edge_steps / steps:g} of "
-                      f"the steps, above {_BOUNDARY_TOL:g}, at window "
-                      f"{window}")
     return batch_means(np.cumsum(moves), n_batches)
 
 

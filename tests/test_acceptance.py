@@ -144,8 +144,7 @@ def test_c08_lattice_chain_reduction():
     # two-point chain reproduces the leader-count chain rows bit for bit
     for n, q in ((2, 0.5), (3, 0.35), (4, 0.6)):
         law = two_point(q)
-        states, rows, _ = zchain._lattice_chain(law, n, window=2,
-                                                max_states=500)
+        states, rows, _ = zchain._lattice_chain(law, n, max_states=500)
         index = {s: i for i, s in enumerate(states)}
         p = zchain.bernoulli_matrix(n, q)
         for j in range(1, n + 1):
@@ -168,7 +167,7 @@ def test_c08_lattice_chain_reduction():
     rng = make_rng(8)
     worst = 0.0
     for _ in range(1000):
-        width = int(rng.integers(1, 9))
+        width = int(rng.integers(4, 9))  # span + 1 = 4 slots or more
         counts = rng.integers(0, 5, size=width)
         counts[-1] = max(counts[-1], 1)  # leader slot must be occupied
         _, s = zchain.lattice_s(counts, THREE_ATOM)

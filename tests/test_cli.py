@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import cli, gumbel_exact, zchain
+from frontlab import cli, gumbel_exact
 
 GUMBEL = '{"type":"gumbel"}'
 BERN = '{"type":"bernoulli","p":0.5}'
@@ -152,28 +152,25 @@ def test_zchain_ladder_report(capsys):
     assert code == 0
     header, rows = parse_csv(out)
     assert header == ["depth", "prob", "bound"]
+    assert [int(r[0]) for r in rows] == [1, 2, 3]  # depths 1 to span
     for r in rows:
         assert float(r[1]) <= float(r[2]) + 1e-15
-
-
-def test_zchain_lattice_sim_runs_on_the_widened_window(monkeypatch, capsys):
-    # lattice_speed widens window 2 to 8 for this law; a simulation left on
-    # window 2 runs the truncated chain (speed -0.07836), and at this seed
-    # read 6.7 SE off the exact -0.08039
-    probs = '{"type":"lattice","k":0,"probs":[[0,0.4],[-1,0.3],[-3,0.3]]}'
-    windows = []
-    sim = zchain.lattice_chain_sim
-
-    def spy(*args, window, **kw):
-        windows.append(window)
-        return sim(*args, window=window, **kw)
-
-    monkeypatch.setattr(zchain, "lattice_chain_sim", spy)
     code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
-                        "--probs", probs, "--window", "2",
-                        "--steps", "200000", "--emit", "json"], capsys)
+                        "--probs", LATTICE, "--report", "ladder",
+                        "--emit", "json"], capsys)
+    obj = json.loads(out)
+    assert (obj["window"], len(obj["ladder"])) == (4, 3)
+    assert "boundary_mass" not in obj
+
+
+def test_zchain_lattice_sim_agrees_with_exact(capsys):
+    # the simulation runs the same span + 1 slot chain that lattice_speed
+    # solves; a two-slot chain, which lumped depth -3, read 6.7 SE off
+    probs = '{"type":"lattice","k":0,"probs":[[0,0.4],[-1,0.3],[-3,0.3]]}'
+    code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
+                        "--probs", probs, "--steps", "200000",
+                        "--emit", "json"], capsys)
     assert code == 0
-    assert windows == [8]
     row = json.loads(out)
     assert abs(row["v_sim"] - row["v_exact"]) <= 4.0 * row["se"]
 
@@ -305,6 +302,9 @@ def test_cell_streams_are_spawned_children(seed):
     # the fluct reference is exact: no draws to size
     ["profile", "--spec", GUMBEL, "--N", "20", "--test", "fluct",
      "--ref-draws", "50"],
+    # the depth chain's slots follow from the law
+    ["zchain", "--dist", "lattice", "--N", "3", "--probs", LATTICE,
+     "--window", "2"],
 ])
 def test_removed_flags_are_usage_errors(argv, capsys):
     code, out, _ = run(argv, capsys)

@@ -558,8 +558,8 @@ class _Uniforms:
 ])
 def test_lattice_column_sample_is_searchsorted(atoms):
     # LatticeLaw.sample counts the cumulative sums below u:
-    # searchsorted(cum, u) (side left) is the reference, and the generator
-    # is read the same
+    # searchsorted(cum, u) (side left) over the positive atoms is the
+    # reference, and the generator is read the same
     law = LatticeLaw(top=max(v for v, p in atoms if p > 0), atoms=atoms)
     rng, ref = make_rng(29), make_rng(29)
     for size in ((300, 3, 3), 17, None):
@@ -575,3 +575,13 @@ def test_lattice_column_sample_is_searchsorted(atoms):
     np.testing.assert_array_equal(
         law.sample(_Uniforms(u), u.size),
         law.values[np.searchsorted(law._cum, u)].astype(float))
+
+
+def test_lattice_zero_probability_bottom_is_never_drawn():
+    # a uniform of exactly 0.0 once drew the zero-probability bottom atom;
+    # the atoms and the JSON keep it, the support and the bottom do not
+    law = LatticeLaw(top=2, atoms=((2, 0.5), (0, 0.5), (-4, 0.0)))
+    np.testing.assert_array_equal(law.sample(ZeroUniforms(), 3), [0.0] * 3)
+    assert law.bottom == 0 and list(law.values) == [0, 2]
+    assert law.atoms == ((-4, 0.0), (0, 0.5), (2, 0.5))
+    assert [-4, 0.0] in json.loads(to_json(law))["probs"]

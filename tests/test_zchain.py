@@ -551,15 +551,15 @@ def test_parse_q():
 
 def test_lattice_s_hand_case():
     # two particles at the leader, three-atom law: classes by hand
-    offsets, s = lattice_s(np.array([0, 2]), THREE_ATOM)
-    np.testing.assert_array_equal(offsets, [-4, -3, -2, -1, 0])
-    np.testing.assert_allclose(s, [0.0, 0.04, 0.0, 0.21, 0.75], atol=1e-15)
+    offsets, s = lattice_s(np.array([0, 0, 0, 2]), THREE_ATOM)
+    np.testing.assert_array_equal(offsets, [-3, -2, -1, 0])
+    np.testing.assert_allclose(s, [0.04, 0.0, 0.21, 0.75], atol=1e-15)
 
 
 def test_lattice_s_telescopes_to_one():
     rng = make_rng(41)
     for _ in range(300):
-        w = int(rng.integers(2, 7))
+        w = int(rng.integers(4, 9))  # span + 1 slots or more
         counts = rng.integers(0, 4, size=w)
         counts[-1] = max(counts[-1], 1)
         _, s = lattice_s(counts, THREE_ATOM)
@@ -567,8 +567,16 @@ def test_lattice_s_telescopes_to_one():
 
 
 def test_lattice_s_requires_leader():
-    with pytest.raises(ValueError):
-        lattice_s(np.array([2, 0]), THREE_ATOM)
+    with pytest.raises(ValueError, match="leader"):
+        lattice_s(np.array([2, 0, 0, 0]), THREE_ATOM)
+
+
+def test_lattice_s_refuses_fewer_than_span_plus_one_slots(rng):
+    # three slots cannot hold depth -3; nothing is lumped in their place
+    for call in (lambda c: lattice_s(c, THREE_ATOM),
+                 lambda c: lattice_step(c, THREE_ATOM, rng)):
+        with pytest.raises(ValueError, match="span \\+ 1 depth slots"):
+            call(np.array([1, 0, 2]))
 
 
 def test_lattice_s_against_particle_draws():
@@ -579,12 +587,11 @@ def test_lattice_s_against_particle_draws():
     positions = np.array([-3.0, -1.0, 0.0, 0.0])
     offsets, s = lattice_s(counts, THREE_ATOM)
     m = 30_000
-    lows = offsets[0]
     draws = np.empty(m)
     for r in range(m):
         noise = THREE_ATOM.sample(rng, (4, 4))
         draws[r] = engine.step_with_noise(positions, noise)[0]
-    draws = np.maximum(draws, lows)  # classes lump everything below
+    assert draws.min() >= offsets[0]  # the leader is a parent
     for k, off in enumerate(offsets):
         if s[k] == 0.0:
             assert not np.any(draws == off)
@@ -646,18 +653,51 @@ def _ref_lattice_chain(law, n, window):
     return states, rows, cums
 
 
-@pytest.mark.parametrize("law,n,window", [
-    *[pytest.param(THREE_ATOM, n, 16, id=f"three-{n}") for n in range(1, 6)],
-    pytest.param(FIVE_ATOM, 6, 16, id="five-6"),
-    pytest.param(two_point(0.35), 4, 2, id="two-point-4"),
-    pytest.param(two_point(0.5), 25, 2, id="two-point-25"),  # 25! > 2^63
-    pytest.param(DEEP, 2, 4, id="deep-w4"),
-    pytest.param(DEEP, 2, 16, id="deep-w16"),
+def _random_law(seed, span):
+    """A lattice law of the given span, with a top other than 0 and about
+    half its interior values at probability 0 (kept in ``atoms``)."""
+    rng = make_rng(seed)
+    top = int(rng.choice([-2, -1, 1, 2, 3]))
+    weights = rng.random(span + 1) + 0.05
+    weights[1:-1] *= rng.random(max(span - 1, 0)) < 0.5
+    return LatticeLaw(top=top, atoms=tuple(
+        zip(range(top - span, top + 1), (weights / weights.sum()).tolist())))
+
+
+def _random_cases(pairs):
+    return [pytest.param(_random_law(100 + span, span), n,
+                         id=f"random-span{span}-{n}") for span, n in pairs]
+
+
+# spans 0 to 8 at N = 1 to 5, where the wide reference takes under 0.3 s
+RANDOM_CHAINS = _random_cases((span, n) for span in range(9)
+                              for n in range(1, 6) if span * n <= 28)
+RANDOM_SIMS = _random_cases([(0, 1), (0, 4), (1, 5), (2, 2), (3, 5), (4, 3),
+                             (5, 1), (6, 2), (7, 2), (8, 3)])
+
+
+def _wide(law):
+    """2 span + 2 slots: the references lump nothing there."""
+    return 2 * (law.top - law.bottom) + 2
+
+
+@pytest.mark.parametrize("law,n", [
+    *[pytest.param(THREE_ATOM, n, id=f"three-{n}") for n in range(1, 6)],
+    pytest.param(FIVE_ATOM, 6, id="five-6"),
+    pytest.param(two_point(0.35), 4, id="two-point-4"),
+    pytest.param(two_point(0.5), 25, id="two-point-25"),  # 25! > 2^63
+    pytest.param(DEEP, 2, id="deep"),
+    *RANDOM_CHAINS,
 ])
-def test_lattice_chain_equals_per_composition_loop(law, n, window):
-    states, rows, cums = zchain._lattice_chain(law, n, window, 10 ** 6)
-    ref_states, ref_rows, ref_cums = _ref_lattice_chain(law, n, window)
-    assert states == ref_states
+def test_lattice_chain_equals_per_composition_loop(law, n):
+    # the span + 1 slots hold the chain: the wide reference's states carry
+    # span + 1 leading zeros, and its rows and class laws are the same
+    states, rows, cums = zchain._lattice_chain(law, n, 10 ** 6)
+    ref_states, ref_rows, ref_cums = _ref_lattice_chain(law, n, _wide(law))
+    slots = law.top - law.bottom + 1
+    assert {len(state) for state in states} == {slots}
+    assert {state[:-slots] for state in ref_states} == {(0,) * slots}
+    assert states == [state[-slots:] for state in ref_states]
     assert rows == ref_rows
     assert [c.tolist() for c in cums] == [c.tolist() for c in ref_cums]
 
@@ -674,18 +714,27 @@ def _ref_chain_sim(law, n, steps, rng, window):
     return engine.batch_means(np.cumsum(moves), 32)
 
 
-@pytest.mark.parametrize("law,n,window,lumped", [
-    pytest.param(THREE_ATOM, 2, 16, False, id="three-2"),
-    pytest.param(THREE_ATOM, 3, 16, False, id="three-3"),
-    pytest.param(FIVE_ATOM, 4, 3, True, id="five-4-lumped"),  # depths <= -2
+@pytest.mark.parametrize("law,n", [
+    pytest.param(THREE_ATOM, 2, id="three-2"),
+    pytest.param(THREE_ATOM, 3, id="three-3"),
+    *RANDOM_SIMS,
 ])
-def test_lattice_chain_sim_equals_step_loop(law, n, window, lumped):
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        got = lattice_chain_sim(law, n, 4000, make_rng(61), window=window)
-    assert got == _ref_chain_sim(law, n, 4000, make_rng(61), window)
-    # the lumped window truncates the chain, and the run says so
-    assert len(caught) == lumped
+def test_lattice_chain_sim_equals_step_loop(law, n):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = lattice_chain_sim(law, n, 4000, make_rng(61))
+    assert got == _ref_chain_sim(law, n, 4000, make_rng(61), _wide(law))
+
+
+@pytest.mark.parametrize("top", [0, 2])
+def test_point_mass_chain_has_one_slot(top):
+    # span 0: one depth slot, one state, and the leader moves by top
+    law = LatticeLaw(top=top, atoms=((top, 1.0),))
+    rep = lattice_speed(law, 3)
+    assert (rep.value, rep.window, rep.n_states) == (top, 1, 1)
+    assert rep.ladder.size == rep.ladder_bounds.size == 0
+    est = lattice_chain_sim(law, 3, 64, make_rng(5))
+    assert (est.value, est.std_err) == (top, 0.0)
 
 
 def test_five_atom_n8_chain():
@@ -712,10 +761,10 @@ def test_lattice_step_moves_leader(rng):
 
 @pytest.mark.parametrize("n,q", [(2, 0.5), (3, 0.35), (4, 0.6)])
 def test_two_point_chain_equals_bernoulli_chain(n, q):
-    # the window-2 depth chain must reproduce the leader-count chain rows
+    # the two-slot depth chain must reproduce the leader-count chain rows
     # bit for bit, with counts 0 and N merged into one state
     law = two_point(q)
-    states, rows, _ = zchain._lattice_chain(law, n, window=2, max_states=500)
+    states, rows, _ = zchain._lattice_chain(law, n, max_states=500)
     index = {s: i for i, s in enumerate(states)}
     assert set(states) == {(n - j, j) for j in range(1, n + 1)}
 
@@ -733,7 +782,7 @@ def test_two_point_chain_equals_bernoulli_chain(n, q):
 def test_two_point_speed_equals_bernoulli_speed(n, q):
     # identical transition rows, but the two stationary solves run through
     # different systems, so agreement is to solver precision only
-    got = lattice_speed(two_point(q), n, window=2).value
+    got = lattice_speed(two_point(q), n).value
     assert got == pytest.approx(bernoulli_speed(n, q) - 1.0, abs=1e-15)
 
 
@@ -741,7 +790,7 @@ def test_two_point_speed_equals_bernoulli_speed(n, q):
 def test_two_point_ladder_is_the_bernoulli_gap(n):
     # P(the leader stalls) is nu(0) of the leader-count chain, ~4e-17 at
     # N = 8; the dive probabilities carry it without cancellation
-    rep = lattice_speed(two_point(0.5), n, window=2)
+    rep = lattice_speed(two_point(0.5), n)
     nu0 = bernoulli_stationary(n, Fraction(1, 2), exact=True)[0]
     assert rep.ladder.sum() == pytest.approx(float(nu0), rel=1e-12, abs=0)
 
@@ -758,8 +807,6 @@ def test_lattice_speed_three_atom_vs_particles():
         est = engine.estimate_speed(THREE_ATOM, n, t_run=30_000,
                                     rng=make_rng(seed))
         assert abs(est.value - rep.value) < 3 * est.std_err
-        assert rep.boundary_mass <= 1e-12
-        assert not rep.truncated
 
 
 def test_lattice_speed_matches_chain_sim(rng):
@@ -774,33 +821,12 @@ def test_ladder_within_bounds():
     assert np.all(np.diff(rep.ladder) <= 1e-15)  # deeper dives are rarer
 
 
-def test_lattice_window_widens_for_deep_support():
-    deep = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
-    rep = lattice_speed(deep, 2, window=4)
-    assert rep.window == 16
-    assert rep.boundary_mass <= 1e-12 and not rep.truncated
-
-
-def test_lattice_truncation_warns(monkeypatch):
-    deep = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
-    monkeypatch.setattr(zchain, "_WIDENINGS", 0)
-    with pytest.warns(UserWarning):
-        rep = lattice_speed(deep, 2, window=4)
-    assert rep.truncated
-
-
-def test_lattice_chain_sim_warns_on_a_small_window():
-    # window 2 reads the speed 6.7 SE off the exact one at 200 000 steps;
-    # lattice_speed widens the same window to 8, where the bottom slot
-    # stays empty
-    law = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.3), (-3, 0.3)))
-    with pytest.warns(UserWarning, match="bottom slot occupied in .* at "
-                      "window 2"):
-        lattice_chain_sim(law, 3, 20_000, make_rng(83), window=2)
-    assert lattice_speed(law, 3, window=2).window == 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        lattice_chain_sim(law, 3, 20_000, make_rng(83), window=8)
+def test_lattice_window_is_span_plus_one():
+    # depth -12 fits: the deep law solves on 13 slots, with nothing lumped
+    rep = lattice_speed(DEEP, 2)
+    assert (rep.window, rep.n_states) == (13, 13)
+    assert rep.boundary_mass == 0.0 and not rep.truncated
+    assert rep.ladder.size == 12
 
 
 def test_lattice_state_cap(monkeypatch):
@@ -812,23 +838,24 @@ def test_lattice_state_cap(monkeypatch):
     monkeypatch.setattr(zchain, "_stationary", no_solve)
     with pytest.raises(RuntimeError, match="exceeds 3 states, the dense "
                        "stationary solve's bound"):
-        lattice_speed(THREE_ATOM, 6, window=16)
+        lattice_speed(THREE_ATOM, 6)
 
 
 def test_lattice_state_cap_keeps_five_atoms_at_n14():
     # two 4096 x 4096 float64 matrices (2 x 134 MB) bound the dense solve;
     # the five-atom law at N = 14 enumerates within the cap
     assert zchain._MAX_STATES ** 2 * 8 <= 135_000_000
-    states, _, _ = zchain._lattice_chain(FIVE_ATOM, 14, 16,
-                                         zchain._MAX_STATES)
+    states, _, _ = zchain._lattice_chain(FIVE_ATOM, 14, zchain._MAX_STATES)
     assert len(states) == 2380
 
 
 def test_lattice_speed_validation():
     with pytest.raises(ValueError):
         lattice_speed(THREE_ATOM, 0)
-    with pytest.raises(ValueError):
-        lattice_speed(THREE_ATOM, 2, window=1)
+    # window is read by nothing; a value other than its default warns
+    with pytest.warns(DeprecationWarning, match="window is ignored"):
+        rep = lattice_speed(THREE_ATOM, 2, window=1)
+    assert rep.value == lattice_speed(THREE_ATOM, 2).value
 
 
 # ---------------------------------------------------------------------------
