@@ -21,6 +21,19 @@ class ZeroUniforms:
         return out
 
 
+class CyclingUniforms:
+    """Generator stub whose uniforms run through ``values`` in turn, over
+    and over, across calls."""
+
+    def __init__(self, values):
+        self.values, self.drawn = np.asarray(values, dtype=float), 0
+
+    def random(self, size):
+        idx = (self.drawn + np.arange(size)) % self.values.size
+        self.drawn += size
+        return self.values[idx]
+
+
 class FailingUniforms:
     """Generator stub that raises on its ``fail_at``-th random call."""
 

@@ -1,5 +1,8 @@
+import bisect
 import functools
+import itertools
 import math
+import tracemalloc
 import warnings
 from fractions import Fraction
 
@@ -26,7 +29,7 @@ from frontlab.zchain import (
 )
 
 import chain_oracles
-from conftest import make_rng
+from conftest import CyclingUniforms, make_rng
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
 
@@ -414,24 +417,74 @@ def test_chain_sims_need_two_batches(sim, n_batches):
         sim(n_batches)
 
 
-def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
+def _ref_bernoulli_counts(n, q, steps, rng):
     """Plain per-step inverse-CDF loop over the rows of bernoulli_matrix."""
     cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
     cdf[:, -1] = 1.0
     m = n
-    moved = np.zeros(steps + 1)
+    counts = np.empty(steps, dtype=int)
     for t in range(steps):
-        m = int(np.searchsorted(cdf[m], rng.random(), side="right"))
-        moved[t + 1] = 1.0 if m >= 1 else 0.0
+        counts[t] = m = int(np.searchsorted(cdf[m], rng.random(),
+                                            side="right"))
+    return counts
+
+
+def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
+    moved = np.zeros(steps + 1)
+    moved[1:] = _ref_bernoulli_counts(n, q, steps, rng) >= 1
     return engine.batch_means(np.cumsum(moved), n_batches)
 
 
+_SCAN_N = zchain._SIM_SCAN_MAX_N
+_CHUNK = zchain._sim_chunk_length(2, zchain._SIM_BLOCK)
+
+
+# 20 001 steps run c chunks of L and a tail of 1; the step counts 1 and
+# L - 1 run the bisect loop alone, one block plus one a full block's scan
+# and a one-step block; above N = _SIM_SCAN_MAX_N every step bisects
+@pytest.mark.parametrize("n,q,steps", [
+    pytest.param(2, 0.5, 20_001, id="2-0.5"),
+    pytest.param(3, 0.3, 20_001, id="3-0.3"),
+    pytest.param(5, 0.7, 20_001, id="5-0.7"),
+    pytest.param(_SCAN_N, 0.5, 20_001, id="crossover"),
+    pytest.param(_SCAN_N + 1, 0.5, 20_001, id="above-crossover"),
+    pytest.param(3, 0.05, 20_001, id="3-0.05"),
+    pytest.param(3, 0.95, 20_001, id="3-0.95"),
+    pytest.param(2, 0.5, 1, id="one-step"),
+    pytest.param(2, 0.5, _CHUNK - 1, id="chunk-less-one"),
+    pytest.param(2, 0.5, zchain._SIM_BLOCK + 1, id="block-plus-one"),
+])
+def test_chain_sim_equals_step_loop(n, q, steps):
+    assert steps % zchain._SIM_BLOCK   # not a multiple of the block length
+    got = zchain._bernoulli_counts(n, q, steps, make_rng(71))
+    np.testing.assert_array_equal(
+        got, _ref_bernoulli_counts(n, q, steps, make_rng(71)))
+    if steps >= zchain._SIM_BATCHES:
+        got = bernoulli_chain_sim(n, q, steps, make_rng(71))
+        assert got == _ref_bernoulli_sim(n, q, steps, make_rng(71))
+
+
+@pytest.mark.parametrize("scan_max_n", [_SCAN_N, 0], ids=["scan", "loop"])
 @pytest.mark.parametrize("n,q", [(2, 0.5), (3, 0.3), (5, 0.7)])
-def test_chain_sim_equals_step_loop(n, q):
-    steps = 20_001   # not a multiple of the block length
-    assert steps % zchain._SIM_BLOCK
-    got = bernoulli_chain_sim(n, q, steps, make_rng(71))
-    assert got == _ref_bernoulli_sim(n, q, steps, make_rng(71))
+def test_chain_sim_moves_past_uniforms_on_thresholds(monkeypatch, n, q,
+                                                     scan_max_n):
+    # every uniform is 0.0 or exactly a cumulative threshold of some row:
+    # scanned or looped, the walk goes to bisect_right's count, past ties
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    rows = cdf.tolist()
+    cuts = [0.0, *np.unique(cdf[cdf < 1.0]).tolist()]
+    values = make_rng(97).permutation(np.repeat(cuts, 40))
+    steps = values.size + 7                 # several chunks, then a tail
+    monkeypatch.setattr(zchain, "_SIM_SCAN_MAX_N", scan_max_n)
+    got = zchain._bernoulli_counts(n, q, steps, CyclingUniforms(values))
+    m, want, seen = n, [], set()
+    for u in itertools.islice(itertools.cycle(values.tolist()), steps):
+        seen.add((m, u))
+        m = bisect.bisect_right(rows[m], u)
+        want.append(m)
+    np.testing.assert_array_equal(got, want)
+    assert len(seen) == (n + 1) * len(cuts)  # every count meets every cut
 
 
 def test_chain_sim_block_length_does_not_matter(monkeypatch):
@@ -465,6 +518,18 @@ def test_chain_sim_transitions_follow_matrix_rows():
             dof += len(obs) - 1
     assert dof >= 4
     assert stats.chi2.sf(stat, dof) >= 1e-6
+
+
+def test_chain_sim_memory_stays_block_sized():
+    # apart from the counts it returns, the walk holds a few block-sized
+    # arrays at a time, never an (n + 1) x steps table
+    tracemalloc.start()
+    try:
+        counts = zchain._bernoulli_counts(2, 0.5, 10**6, make_rng(89))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - counts.nbytes < 4 * 8 * zchain._SIM_BLOCK
 
 
 def test_chain_sim_large_n_stays_in_range():
@@ -813,6 +878,13 @@ def test_lattice_speed_matches_chain_sim(rng):
     rep = lattice_speed(THREE_ATOM, 3)
     est = lattice_chain_sim(THREE_ATOM, 3, 40_000, rng)
     assert abs(est.value - rep.value) < 3 * est.std_err
+
+
+def test_lattice_speed_reports_compare_by_value():
+    rep = lattice_speed(THREE_ATOM, 2)
+    assert (rep == lattice_speed(THREE_ATOM, 2)) is True
+    assert (rep == lattice_speed(THREE_ATOM, 3)) is False
+    assert (rep != lattice_speed(THREE_ATOM, 3)) is True
 
 
 def test_ladder_within_bounds():
