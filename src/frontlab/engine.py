@@ -337,18 +337,20 @@ def _check_batches(n_batches: int, steps: int) -> None:
 
 
 def batch_means(path: np.ndarray, n_batches: int) -> SpeedEstimate:
-    """Batch-means speed of a cumulative path (start, then after each step).
-
-    The first ``n_batches * length`` steps, ``length = steps // n_batches``,
-    are cut into equal batches; value is the mean increment over them,
-    std_err the batch-means standard error and sigma2 the batch-means
-    estimate of the per-step CLT variance.
-    """
+    """Batch-means speed of a cumulative path (start, then after each step),
+    read at the edges of n_batches equal batches (``_edge_means``)."""
     length = (path.size - 1) // n_batches
-    used = length * n_batches
-    means = np.diff(path[:used + 1:length]) / length
+    return _edge_means(path[:length * n_batches + 1:length], length)
+
+
+def _edge_means(edges: np.ndarray, length: int) -> SpeedEstimate:
+    """Batch-means speed from a cumulative path's batch edges, ``length``
+    steps apart: value is the mean increment over the batches, std_err the
+    batch-means standard error and sigma2 the per-step CLT variance."""
+    n_batches = edges.size - 1
+    means = np.diff(edges) / length
     return SpeedEstimate(
-        value=float((path[used] - path[0]) / used),
+        value=float((edges[-1] - edges[0]) / (length * n_batches)),
         std_err=float(np.std(means, ddof=1) / math.sqrt(n_batches)),
         sigma2=float(length * np.var(means, ddof=1)),
         n_blocks=n_batches, method="batch_means")

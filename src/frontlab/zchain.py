@@ -5,14 +5,9 @@ Markov chain on {0, ..., N}: from count m the next count is Binomial(N,
 1 - q^m) (exponent N when m = 0, everyone having collapsed onto the old
 leader). Its stationary law gives the front speed exactly, and hitting-time
 decompositions between the full state N and the empty state 0 expose the
-doubly exponential finite-N speed correction q^{N^2} 2^N. The chain
-simulation is an inverse-CDF walk on the same float transition rows that the
-exact solves use: one uniform per step, and the next count is
-``bisect_right`` of the uniform on the current count's cumulative row. A
-step is a map on the counts, fixed by the bin of its uniform among the
-rows' merged thresholds, and maps compose, so up to N = 16 each block of
-uniforms runs as a two-level scan over its step maps with the counts of the
-bisect loop bit for bit; above that the loop itself runs.
+doubly exponential finite-N speed correction q^{N^2} 2^N. Its simulation
+is the depth chain's walk (below) on the two-point law {1: 1 - q, 0: q},
+whose rows are these bit for bit.
 
 General bounded integer jumps are handled by the depth-count chain: the state
 counts particles at depths 0, -1, ..., -span behind the current leader
@@ -30,9 +25,13 @@ into k landing classes are built once per k, every composition is recentered
 and grouped by target once per set of landing classes (the leader is a
 parent, so classes lie in [bottom, top] and few sets occur), and each state
 then only forms its multinomial masses in one vector pass. The rows are
-bit-identical to a per-composition scalar loop. The chain simulation draws
-the same multinomials as a ``lattice_step`` loop but keeps, per visited
-state, the landing-class law and the successor of each realized draw.
+bit-identical to a per-composition scalar loop. Both chain simulations are
+one inverse-CDF walk on the compositions in reverse lexicographic order
+(for the two-point law, the leader counts): one uniform a step, and the
+composition ``bisect_right`` finds on the state's cumulative masses. Up to
+256 merged thresholds, blocks of steps run as a two-level scan over the
+steps' maps, bit for bit the bisect loop's. The walk enumerates the chain
+first, so it stops at the exact solve's 4096-state cap.
 
 Stationary laws, return times and hitting analyses all come from one
 Grassmann-Taksar-Heyman elimination, which never subtracts: float results are
@@ -57,7 +56,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .engine import SpeedEstimate, _check_batches, batch_means
+from .engine import SpeedEstimate, _check_batches, _edge_means
 from .noise import LatticeLaw
 
 __all__ = [
@@ -73,7 +72,6 @@ __all__ = [
     "LatticeSpeedReport",
     "lattice_speed",
     "lattice_chain_sim",
-    "gap_speed_prediction",
     "SandwichBounds",
     "sandwich_bounds",
     "parse_q",
@@ -83,13 +81,12 @@ _MAX_DENSE_N = 64
 _MAX_HITTING_N = 32
 _SIM_BATCHES = 32      # batch-means batches of the chain simulations
 _SIM_BLOCK = 1 << 16   # uniforms per block draw of the chain simulation
-# Up to this N the leader-count walk runs as a chunked scan over its step
-# maps. Above it the bisect loop wins: the scan bins each uniform with one
-# pass per merged threshold, and there are about N^2 of them. Per 10^5 steps
-# at q = 1/2 on a 2-core x86 box with numpy 2.4.6, scan against loop: 1.9 vs
-# 10.5 ms at N = 2, 6.1 vs 12.7 ms at N = 12, 10.2 vs 12.6 ms at N = 16
-# (256 thresholds), even at N = 18, 13.5 vs 12.5 ms at N = 20.
-_SIM_SCAN_MAX_N = 16
+# The chain walk scans its step maps up to this many merged thresholds, one
+# pass over the uniforms each; above, the bisect loop wins. The leader-count
+# chain at q = 1/2 has 254-256 at N = 16, 284-289 at N = 17. Its 10^5 steps
+# took 2.6 ms scanned against 13.6 looped at N = 2, 12.2 vs 15.0 at N = 16,
+# even from N = 18 to 20 (2-core x86 box, numpy 2.4.6).
+_SIM_SCAN_MAX_CUTS = 256
 # largest depth-chain state space lattice_speed solves: its dense solve
 # holds two (states, states) float64 matrices, 2 x 134 MB at this cap
 _MAX_STATES = 4096
@@ -393,119 +390,18 @@ def bernoulli_speed(n: int, q, exact: bool = False):
     return 1 - _bernoulli_gap(n, q, exact)
 
 
-def _sim_chunk_length(n: int, b: int) -> int:
-    """Chunk length L of the walk's scan over b steps: ~sqrt(b/32), 1 above
-    N = ``_SIM_SCAN_MAX_N``. The scan makes about 2L numpy passes over the
-    c = b // L chunks and c lookups in Python; the walk's time was flat for
-    L from sqrt(b/8) to sqrt(b/64)."""
-    return max(1, math.isqrt(b // 32)) if n <= _SIM_SCAN_MAX_N else 1
-
-
-def _step_maps(cdf: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The merged thresholds of cumulative rows ``cdf`` and the table of
-    their step maps.
-
-    ``cuts`` holds the distinct entries below 1 of all rows, sorted. A
-    uniform u < 1 has bin b = #{cuts <= u}, and each row's entries compare
-    with every u of one bin alike, so a step from count m moves to
-    table[b, m], the number of row-m entries <= cuts[b - 1] (0 in bin 0).
-    The rows rise to 1, so that number is ``bisect_right``'s index.
-    """
-    cuts = np.unique(cdf[cdf < 1.0])
-    table = np.zeros((cuts.size + 1, len(cdf)), dtype=np.intp)
-    table[1:] = np.count_nonzero(cdf[None] <= cuts[:, None, None], axis=2)
-    return cuts, table
-
-
-def _scan_walk(cuts: np.ndarray, table: np.ndarray, m: int, u: np.ndarray,
-               chunk: int, out: np.ndarray) -> int:
-    """Walk the c * L uniforms ``u`` from count m as a two-level scan.
-
-    Writes the counts after each step to ``out`` and returns the last one.
-    Each uniform's bin is counted one ``u >= cut`` pass per threshold. The
-    L-step map of each of the c chunks comes from L - 1 gathers vectorized
-    over the chunks, the chunk entry counts from c lookups in Python lists,
-    and L gathers vectorized over the chunks fill in every count. The chunk
-    axis is kept last, so every gather runs over contiguous rows of length c.
-    """
-    size = table.shape[1]
-    table = table.ravel()
-    c = u.size // chunk
-    bins = np.zeros(u.size, np.min_scalar_type(cuts.size))
-    for cut in cuts:
-        bins += u >= cut
-    # chunk-major: base[j, k] is where the map of step k * L + j starts in
-    # the flat table
-    base = np.ascontiguousarray(bins.reshape(c, chunk).T, dtype=np.intp)
-    base *= size
-    # ends[s, k]: the count after chunk k's steps so far, from count s
-    ends = table.take(base[0] + np.arange(size)[:, None])
-    for j in range(1, chunk):
-        ends += base[j]
-        ends = table.take(ends)
-    ends = ends.T.tolist()
-    entry = [0] * c
-    for k in range(c):
-        entry[k] = m
-        m = ends[k][m]
-    x = np.array(entry)
-    rows = out.reshape(c, chunk)
-    for j in range(chunk):
-        x = table.take(base[j] + x)
-        rows[:, j] = x
-    return m
-
-
-def _bernoulli_counts(n: int, q, steps: int,
-                      rng: np.random.Generator) -> np.ndarray:
-    """Leader counts after each of ``steps`` chain steps from count n.
-
-    Inverse-CDF walk: step t draws one uniform u and moves from count m to
-    ``bisect.bisect_right(rows[m], u)``, the first count whose cumulative
-    transition probability on the rows of ``bernoulli_matrix`` exceeds u.
-    Uniforms come in blocks of ``_SIM_BLOCK``; block draws concatenate, so
-    the counts do not depend on the block length. A step is a map on the
-    counts, fixed by the bin of u among the rows' merged thresholds
-    (``_step_maps``), and maps compose associatively, so the first c * L
-    steps of a block of b run as a two-level scan (``_scan_walk``, chunk
-    length L = ``_sim_chunk_length``), as ``engine._full_steps`` runs its
-    max-plus products. The b mod L steps after the last chunk, and every
-    step above N = ``_SIM_SCAN_MAX_N`` (L = 1), run the bisect loop. The
-    counts are the loop's bit for bit.
-    """
-    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
-    cdf[:, -1] = 1.0
-    rows = cdf.tolist()
-    # the first block is the largest: if any block scans, it does
-    if _sim_chunk_length(n, min(steps, _SIM_BLOCK)) > 1:
-        cuts, table = _step_maps(cdf)
-    counts = np.empty(steps, dtype=np.min_scalar_type(n))
-    m = n
-    for start in range(0, steps, _SIM_BLOCK):
-        u = rng.random(min(_SIM_BLOCK, steps - start))
-        out = counts[start:start + u.size]
-        chunk = _sim_chunk_length(n, u.size)
-        done = u.size - u.size % chunk if chunk > 1 else 0
-        if done:
-            m = _scan_walk(cuts, table, m, u[:done], chunk, out[:done])
-        out[done:] = [m := bisect.bisect_right(rows[m], v)
-                      for v in u[done:].tolist()]
-    return counts
-
-
 def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
                         n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated chain speed: fraction of steps whose new count is >= 1.
 
-    The chain runs as an inverse-CDF walk on the float transition rows that
-    ``bernoulli_speed`` solves, one uniform per step (``_bernoulli_counts``):
-    a scan over the steps' maps up to N = ``_SIM_SCAN_MAX_N``, a bisect per
-    step above it, with the same counts either way.
+    The walk of ``lattice_chain_sim`` on the two-point law {1: 1 - q,
+    0: q}. Its reversed compositions are the leader counts, with the masses
+    of ``bernoulli_matrix`` bit for bit: each uniform moves to the count
+    ``bisect_right`` finds on the rows that ``bernoulli_speed`` solves.
     """
-    _check_batches(n_batches, steps)
-    moved = np.zeros(steps + 1)
-    moved[1:] = _bernoulli_counts(n, q, steps, rng) >= 1
-    return batch_means(np.cumsum(moved), n_batches)
+    q = parse_q(q)
+    return _chain_sim(LatticeLaw(top=1, atoms=((1, 1.0 - q), (0, q))), n,
+                      steps, rng, n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -707,9 +603,12 @@ def _compositions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
 def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
     """BFS the reachable depth states from all-at-leader; sparse rows.
 
-    Returns (states, rows, cums) where rows[i] maps successor index to
-    probability and cums[i] is the cumulative landing-class law from state i
-    (so cums[i][r]^n is the chance the step displacement stays <= class r).
+    Returns (states, rows, cums, moves, arrivals) where rows[i] maps
+    successor index to probability, cums[i] is the cumulative landing-class
+    law from state i (so cums[i][r]^n is the chance the step displacement
+    stays <= class r), and moves[i] holds the arrivals and cumulative masses
+    (the last set to 1) of state i's compositions in reverse lexicographic
+    order. An arrival is a (successor, leader displacement phi) pair.
 
     A state's successors are the compositions of n over its occupied landing
     classes, recentered. Landing classes lie in [law.bottom, law.top] (the
@@ -726,12 +625,12 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
     start[-1] = n
     index = {start.tobytes(): 0}
     states = [tuple(start.tolist())]
-    rows = []
-    cums = []
+    rows, cums, moves = [], [], []
+    arrivals = {(0, law.top): 0}
     queue = deque([start])
     # per class count k: the compositions of n into k parts, coefficients;
-    # per class set: those, the successor columns, and each composition's
-    # position among the successors
+    # per class set: those, the successor columns, each composition's
+    # position among them, and the compositions' arrivals, reversed
     compositions, layouts = {}, {}
     while queue:
         offsets, s = lattice_s(queue.popleft(), law)
@@ -743,7 +642,7 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
             if k not in compositions:
                 compositions[k] = _compositions(n, k)
             comps, coeff = compositions[k]
-            targets, _ = _recenter(offsets[support], comps, window)
+            targets, phi = _recenter(offsets[support], comps, window)
             keys = targets.view(f"V{8 * window}").ravel().tolist()  # row bytes
             found = dict.fromkeys(keys)   # in order of first appearance
             for key in found:
@@ -761,8 +660,12 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
             rank = {key: i for i, key in enumerate(found)}
             position = np.fromiter(map(rank.__getitem__, keys), dtype=np.intp,
                                    count=len(keys))
-            layouts[classes] = (comps, coeff, list(found.values()), position)
-        comps, coeff, cols, position = layouts[classes]
+            cols = list(found.values())
+            arrive = [arrivals.setdefault(pair, len(arrivals)) for pair in
+                      zip(np.array(cols)[position].tolist(), phi.tolist())]
+            layouts[classes] = (comps, coeff, cols, position,
+                                np.array(arrive[::-1]))
+        comps, coeff, cols, position, arrive = layouts[classes]
         # p ** c by scalar pow: numpy's vectorized pow can differ by an ulp
         powers = np.array([[p ** c for c in range(n + 1)] for p in s[support]])
         mass = coeff.copy()
@@ -771,7 +674,10 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
         sums = np.zeros(len(cols))
         np.add.at(sums, position, mass)
         rows.append(dict(zip(cols, sums.tolist())))
-    return states, rows, cums
+        cdf = np.cumsum(mass[::-1])
+        cdf[-1] = 1.0
+        moves.append((arrive, cdf))
+    return states, rows, cums, moves, list(arrivals)
 
 
 def lattice_speed(law: LatticeLaw, n: int,
@@ -789,7 +695,7 @@ def lattice_speed(law: LatticeLaw, n: int,
                       DeprecationWarning, stacklevel=2)
     if n < 1:
         raise ValueError("need n >= 1")
-    states, rows, cums = _lattice_chain(law, n, _MAX_STATES)
+    states, rows, cums, _, _ = _lattice_chain(law, n, _MAX_STATES)
     size = len(states)
     cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
     probs = np.fromiter(itertools.chain.from_iterable(
@@ -817,47 +723,138 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
                       n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated depth-chain speed: batch means of leader displacements.
 
-    Draws the same multinomials as a ``lattice_step`` loop on span + 1
-    depth slots, but keeps each visited state's landing-class law, and each
-    realized draw's successor and displacement, for the rest of the run:
-    the chain keeps revisiting a few states.
+    An inverse-CDF walk (``_walk``) on the chain ``lattice_speed``
+    enumerates, stopped at the same ``_MAX_STATES`` cap before the walk
+    allocates anything. One uniform a step, not ``lattice_step``'s
+    multinomial, so a seed's estimates differ from a ``lattice_step`` loop.
     """
+    return _chain_sim(law, n, steps, rng, n_batches)
+
+
+def _chain_sim(law, n, steps, rng, n_batches) -> SpeedEstimate:
+    """``lattice_chain_sim``; ``bernoulli_chain_sim`` calls it directly, so
+    a tracer counts its steps as its own. Each block's phis are summed per
+    batch as the walk goes: only the batch edges are kept, exact sums."""
     _check_batches(n_batches, steps)
-    window = law.top - law.bottom + 1
-    state = np.zeros(window, dtype=np.int64)
-    state[-1] = n
-    state = state.tobytes()
-    laws = {}  # state -> (class offsets, class law, {draw: (state, phi)})
-    moves = np.zeros(steps + 1)
-    for t in range(steps):
-        visit = laws.get(state)
-        if visit is None:
-            offsets, s = lattice_s(np.frombuffer(state, np.int64), law)
-            visit = laws[state] = (offsets, s / s.sum(), {})
-        offsets, probs, hops = visit
-        draw = rng.multinomial(n, probs)
-        hop = hops.get(draw.tobytes())
-        if hop is None:
-            targets, phi = _recenter(offsets, draw[None, :], window)
-            hop = hops[draw.tobytes()] = (targets[0].tobytes(), float(phi[0]))
-        state, moves[t + 1] = hop
-    return batch_means(np.cumsum(moves), n_batches)
+    length = steps // n_batches
+    sums = np.zeros(n_batches, dtype=np.int64)
+    start = 0
+    for _, phi in _walk(*_lattice_chain(law, n, _MAX_STATES)[3:], steps, rng):
+        # the steps past the last whole batch are walked, not counted
+        part = phi[:max(length * n_batches - start, 0)]
+        if part.size:
+            batch = np.arange(start // length,
+                              (start + part.size - 1) // length + 1)
+            sums[batch] += np.add.reduceat(
+                part, np.maximum(batch * length - start, 0), dtype=np.int64)
+        start += phi.size
+    return _edge_means(np.concatenate(([0], np.cumsum(sums))), length)
+
+
+def _sim_chunk_length(cuts: int, b: int) -> int:
+    """Chunk length L of the walk's scan over b steps on ``cuts`` merged
+    thresholds: ~sqrt(b/32), 1 above ``_SIM_SCAN_MAX_CUTS``. The scan makes
+    about 2L numpy passes over the c = b // L chunks and c lookups in
+    Python; its time was flat for L from sqrt(b/8) to sqrt(b/64)."""
+    return max(1, math.isqrt(b // 32)) if cuts <= _SIM_SCAN_MAX_CUTS else 1
+
+
+def _step_maps(cuts: np.ndarray, moves: list) -> np.ndarray:
+    """The (bins, states) table of the step maps. A uniform u < 1 has bin
+    b = #{cuts <= u}, and each row's entries compare with every u of one bin
+    alike, so from state i it takes composition k = #{row-i entries <=
+    cuts[b - 1]} (0 in bin 0), ``bisect_right``'s index as the rows rise to
+    1, and k's arrival."""
+    table = np.zeros((cuts.size + 1, len(moves)), dtype=np.intp)
+    k = np.zeros(cuts.size + 1, dtype=np.intp)
+    for i, (arrive, cdf) in enumerate(moves):
+        k[1:] = np.count_nonzero(cdf <= cuts[:, None], axis=1)
+        table[:, i] = arrive[k]
+    return table
+
+
+def _scan_walk(cuts: np.ndarray, table: np.ndarray, m: int, u: np.ndarray,
+               chunk: int, out: np.ndarray) -> int:
+    """Walk the c * L uniforms ``u`` from arrival m as a two-level scan;
+    write each step's arrival to ``out`` and return the last one.
+
+    Each uniform's bin is counted one ``u >= cut`` pass per threshold. Each
+    chunk's L-step map comes from L - 1 gathers vectorized over the c
+    chunks, their entry arrivals from c lookups in Python lists, and every
+    step from L more gathers. The chunk axis is kept last, so every gather
+    runs over contiguous rows of length c.
+    """
+    size = table.shape[1]
+    table = table.ravel()
+    c = u.size // chunk
+    bins = np.zeros(u.size, np.min_scalar_type(cuts.size))
+    for cut in cuts:
+        bins += u >= cut
+    # chunk-major: base[j, k] is where the map of step k * L + j starts in
+    # the flat table
+    base = np.ascontiguousarray(bins.reshape(c, chunk).T, dtype=np.intp)
+    base *= size
+    # ends[s, k]: the arrival after chunk k's steps so far, from arrival s
+    ends = table.take(base[0] + np.arange(size)[:, None])
+    for j in range(1, chunk):
+        ends += base[j]
+        ends = table.take(ends)
+    ends = ends.T.tolist()
+    entry = [0] * c
+    for k in range(c):
+        entry[k] = m
+        m = ends[k][m]
+    x = np.array(entry)
+    rows = out.reshape(c, chunk)
+    for j in range(chunk):
+        x = table.take(base[j] + x)
+        rows[:, j] = x
+    return m
+
+
+def _walk(moves: list, arrivals: list, steps: int, rng: np.random.Generator):
+    """``steps`` inverse-CDF steps from all-at-leader on the chain of
+    ``_lattice_chain``; yields each block's arrivals and phis.
+
+    A step draws one uniform u and takes the composition at
+    ``bisect_right(cdf, u)`` on its state's cumulative masses: the walk's
+    states are the arrivals (for the two-point law, the leader counts).
+    Uniforms come in blocks of ``_SIM_BLOCK``, whose draws concatenate. A
+    step is a map on the arrivals, fixed by the bin of u among the merged
+    thresholds, and maps compose, so the first c * L steps of a block run
+    as a scan (``_scan_walk``), the rest as the bisect loop, bit for bit.
+    """
+    state, hop = np.array(arrivals).T
+    # phis in a signed type just wide enough: a block of them stays small
+    hop = hop.astype(np.min_scalar_type(-1 - abs(hop).max()))
+    cuts = np.unique(np.concatenate([cdf[cdf < 1.0] for _, cdf in moves]))
+    # the first block is the largest: if any block scans, it does
+    if _sim_chunk_length(cuts.size, min(steps, _SIM_BLOCK)) > 1:
+        table = _step_maps(cuts, moves)[:, state]
+    # the bisect loop's lists, made on an arrival's first visit: a walk
+    # visits few of a large chain's arrivals
+    arrive, rows = [None] * state.size, [None] * state.size
+
+    def visit(a):
+        arrive[a], rows[a] = map(np.ndarray.tolist, moves[state[a]])
+        return arrive[a]
+
+    m = 0
+    for start in range(0, steps, _SIM_BLOCK):
+        u = rng.random(min(_SIM_BLOCK, steps - start))
+        out = np.empty(u.size, dtype=np.min_scalar_type(state.size - 1))
+        chunk = _sim_chunk_length(cuts.size, u.size)
+        done = u.size - u.size % chunk if chunk > 1 else 0
+        if done:
+            m = _scan_walk(cuts, table, m, u[:done], chunk, out[:done])
+        out[done:] = [m := (arrive[m] or visit(m))[
+                          bisect.bisect_right(rows[m], v)]
+                      for v in u[done:].tolist()]
+        yield out, hop.take(out)
 
 
 # ---------------------------------------------------------------------------
 # two-sided speed bounds for general bounded laws
-
-
-def gap_speed_prediction(a: float, b: float, p: float, n: int) -> float:
-    """Predicted speed a - (a - b) (1-p)^(N^2) 2^N for a law with top atom a
-    (mass p) and the rest of its support at or below b < a."""
-    if not a > b:
-        raise ValueError("need a > b")
-    if not 0 < p < 1:
-        raise ValueError("p must lie in (0, 1)")
-    if n < 1:
-        raise ValueError("need n >= 1")
-    return a - (a - b) * (1.0 - p) ** (n * n) * 2.0 ** n
 
 
 @dataclass(frozen=True)

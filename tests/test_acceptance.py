@@ -144,7 +144,7 @@ def test_c08_lattice_chain_reduction():
     # two-point chain reproduces the leader-count chain rows bit for bit
     for n, q in ((2, 0.5), (3, 0.35), (4, 0.6)):
         law = two_point(q)
-        states, rows, _ = zchain._lattice_chain(law, n, max_states=500)
+        states, rows, *_ = zchain._lattice_chain(law, n, max_states=500)
         index = {s: i for i, s in enumerate(states)}
         p = zchain.bernoulli_matrix(n, q)
         for j in range(1, n + 1):

@@ -18,7 +18,6 @@ from frontlab.zchain import (
     bernoulli_speed,
     bernoulli_stationary,
     expected_return_time,
-    gap_speed_prediction,
     hitting_analysis,
     lattice_chain_sim,
     lattice_s,
@@ -32,6 +31,9 @@ import chain_oracles
 from conftest import CyclingUniforms, make_rng
 
 THREE_ATOM = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.3), (-3, 0.2)))
+FIVE_ATOM = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.25), (-2, 0.15),
+                                     (-3, 0.12), (-4, 0.08)))
+DEEP = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
 
 
 def two_point(q: float) -> LatticeLaw:
@@ -435,13 +437,49 @@ def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
     return engine.batch_means(np.cumsum(moved), n_batches)
 
 
-_SCAN_N = zchain._SIM_SCAN_MAX_N
-_CHUNK = zchain._sim_chunk_length(2, zchain._SIM_BLOCK)
+def bernoulli_law(q):
+    """The two-point law whose depth chain bernoulli_chain_sim walks."""
+    return LatticeLaw(top=1, atoms=((1, 1.0 - q), (0, q)))
+
+
+def walk(law, n, steps, rng):
+    """The simulators' walk, step by step: the depth state after each step
+    and the leader displacement phi."""
+    states, _, _, moves, arrivals = zchain._lattice_chain(
+        law, n, zchain._MAX_STATES)
+    blocks = list(zchain._walk(moves, arrivals, steps, rng))
+    at = np.concatenate([a for a, _ in blocks])
+    phi = np.concatenate([p for _, p in blocks])
+    return [states[arrivals[i][0]] for i in at], phi
+
+
+def walk_counts(n, q, steps, rng):
+    """Leader counts of the walk on the two-point law: a step that moves
+    the leader lands its count at the top slot; one that does not is
+    count 0."""
+    states, phi = walk(bernoulli_law(q), n, steps, rng)
+    return np.array([s[-1] if p else 0 for s, p in zip(states, phi)])
+
+
+def _cut_count(n, q):
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    return np.unique(cdf[cdf < 1.0]).size
+
+
+_SCAN_N = 16
+_CHUNK = zchain._sim_chunk_length(0, zchain._SIM_BLOCK)
+
+
+def test_chain_sim_scans_leader_counts_up_to_n16():
+    # the scan cutoff on thresholds keeps the crossover at N = 16
+    assert _cut_count(_SCAN_N, 0.5) <= zchain._SIM_SCAN_MAX_CUTS
+    assert _cut_count(_SCAN_N + 1, 0.5) > zchain._SIM_SCAN_MAX_CUTS
 
 
 # 20 001 steps run c chunks of L and a tail of 1; the step counts 1 and
 # L - 1 run the bisect loop alone, one block plus one a full block's scan
-# and a one-step block; above N = _SIM_SCAN_MAX_N every step bisects
+# and a one-step block; above N = 16 every step bisects
 @pytest.mark.parametrize("n,q,steps", [
     pytest.param(2, 0.5, 20_001, id="2-0.5"),
     pytest.param(3, 0.3, 20_001, id="3-0.3"),
@@ -456,7 +494,7 @@ _CHUNK = zchain._sim_chunk_length(2, zchain._SIM_BLOCK)
 ])
 def test_chain_sim_equals_step_loop(n, q, steps):
     assert steps % zchain._SIM_BLOCK   # not a multiple of the block length
-    got = zchain._bernoulli_counts(n, q, steps, make_rng(71))
+    got = walk_counts(n, q, steps, make_rng(71))
     np.testing.assert_array_equal(
         got, _ref_bernoulli_counts(n, q, steps, make_rng(71)))
     if steps >= zchain._SIM_BATCHES:
@@ -464,20 +502,27 @@ def test_chain_sim_equals_step_loop(n, q, steps):
         assert got == _ref_bernoulli_sim(n, q, steps, make_rng(71))
 
 
-@pytest.mark.parametrize("scan_max_n", [_SCAN_N, 0], ids=["scan", "loop"])
+def _threshold_uniforms(cuts):
+    """``cuts`` 40 times each in random order, and a step count that takes
+    several chunks of them, then a tail."""
+    values = make_rng(97).permutation(np.repeat(cuts, 40))
+    return values, values.size + 7
+
+
+@pytest.mark.parametrize("scan_max_cuts", [zchain._SIM_SCAN_MAX_CUTS, 0],
+                         ids=["scan", "loop"])
 @pytest.mark.parametrize("n,q", [(2, 0.5), (3, 0.3), (5, 0.7)])
 def test_chain_sim_moves_past_uniforms_on_thresholds(monkeypatch, n, q,
-                                                     scan_max_n):
+                                                     scan_max_cuts):
     # every uniform is 0.0 or exactly a cumulative threshold of some row:
     # scanned or looped, the walk goes to bisect_right's count, past ties
     cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
     cdf[:, -1] = 1.0
     rows = cdf.tolist()
     cuts = [0.0, *np.unique(cdf[cdf < 1.0]).tolist()]
-    values = make_rng(97).permutation(np.repeat(cuts, 40))
-    steps = values.size + 7                 # several chunks, then a tail
-    monkeypatch.setattr(zchain, "_SIM_SCAN_MAX_N", scan_max_n)
-    got = zchain._bernoulli_counts(n, q, steps, CyclingUniforms(values))
+    values, steps = _threshold_uniforms(cuts)
+    monkeypatch.setattr(zchain, "_SIM_SCAN_MAX_CUTS", scan_max_cuts)
+    got = walk_counts(n, q, steps, CyclingUniforms(values))
     m, want, seen = n, [], set()
     for u in itertools.islice(itertools.cycle(values.tolist()), steps):
         seen.add((m, u))
@@ -487,21 +532,48 @@ def test_chain_sim_moves_past_uniforms_on_thresholds(monkeypatch, n, q,
     assert len(seen) == (n + 1) * len(cuts)  # every count meets every cut
 
 
+@pytest.mark.parametrize("scan_max_cuts", [zchain._SIM_SCAN_MAX_CUTS, 0],
+                         ids=["scan", "loop"])
+@pytest.mark.parametrize("law,n", [
+    pytest.param(THREE_ATOM, 2, id="three-2"),
+    pytest.param(THREE_ATOM, 3, id="three-3"),
+    pytest.param(FIVE_ATOM, 2, id="five-2"),
+    pytest.param(DEEP, 2, id="deep"),
+])
+def test_lattice_chain_sim_moves_past_uniforms_on_thresholds(
+        monkeypatch, law, n, scan_max_cuts):
+    # the same on depth chains, at most 256 thresholds each: every uniform
+    # is 0.0 or an entry of some state's cumulative row
+    rows, start = _ref_walk_rows(law, n)
+    cuts = sorted({0.0, *(c for cdf, _ in rows.values() for c in cdf
+                          if c < 1.0)})
+    assert len(cuts) <= zchain._SIM_SCAN_MAX_CUTS
+    values, steps = _threshold_uniforms(cuts)
+    monkeypatch.setattr(zchain, "_SIM_SCAN_MAX_CUTS", scan_max_cuts)
+    states, phi = walk(law, n, steps, CyclingUniforms(values))
+    uniforms = list(itertools.islice(itertools.cycle(values.tolist()), steps))
+    want_states, want_phi = _ref_walk(rows, start, uniforms)
+    assert states == _narrow(law, want_states)
+    assert phi.tolist() == want_phi
+    # ties: steps whose uniform is an entry of the current state's row
+    at = [start, *want_states[:-1]]
+    ties = sum(u in rows[s][0] for s, u in zip(at, uniforms))
+    assert ties >= len(cuts)
+
+
 def test_chain_sim_block_length_does_not_matter(monkeypatch):
     want = bernoulli_chain_sim(3, 0.3, 20_001, make_rng(73))
     monkeypatch.setattr(zchain, "_SIM_BLOCK", 1000)
     assert bernoulli_chain_sim(3, 0.3, 20_001, make_rng(73)) == want
 
 
-def test_chain_sim_transitions_follow_matrix_rows():
-    n, q = 3, 0.3
-    counts = zchain._bernoulli_counts(n, q, 200_000, make_rng(79))
-    path = np.concatenate([[n], counts])
-    seen = np.zeros((n + 1, n + 1))
+def _chi2_transitions(path, p):
+    """Chi-square statistic and degrees of freedom of the transitions seen
+    along ``path`` against the rows of ``p``."""
+    seen = np.zeros(p.shape)
     np.add.at(seen, (path[:-1], path[1:]), 1)
-    p = bernoulli_matrix(n, q)
     stat, dof = 0.0, 0
-    for m in range(n + 1):
+    for m in range(len(p)):
         total = seen[m].sum()
         if total == 0:
             continue
@@ -516,24 +588,48 @@ def test_chain_sim_transitions_follow_matrix_rows():
         if len(obs) > 1:
             stat += sum((o - e) ** 2 / e for o, e in zip(obs, exp))
             dof += len(obs) - 1
+    return stat, dof
+
+
+def test_chain_sim_transitions_follow_matrix_rows():
+    n, q = 3, 0.3
+    counts = walk_counts(n, q, 200_000, make_rng(79))
+    stat, dof = _chi2_transitions(np.concatenate([[n], counts]),
+                                  bernoulli_matrix(n, q))
     assert dof >= 4
     assert stats.chi2.sf(stat, dof) >= 1e-6
+    # the depth chain's merged rows, along the walk's states
+    for law, n in ((THREE_ATOM, 3), (FIVE_ATOM, 2)):
+        states, rows, *_ = zchain._lattice_chain(law, n, 500)
+        p = np.zeros((len(states), len(states)))
+        for i, row in enumerate(rows):
+            p[i, list(row)] = list(row.values())
+        index = {state: i for i, state in enumerate(states)}
+        visited, _ = walk(law, n, 200_000, make_rng(79))
+        stat, dof = _chi2_transitions(
+            np.array([0] + [index[s] for s in visited]), p)
+        assert dof >= 4
+        assert stats.chi2.sf(stat, dof) >= 1e-6, (law, n)
 
 
 def test_chain_sim_memory_stays_block_sized():
-    # apart from the counts it returns, the walk holds a few block-sized
-    # arrays at a time, never an (n + 1) x steps table
-    tracemalloc.start()
-    try:
-        counts = zchain._bernoulli_counts(2, 0.5, 10**6, make_rng(89))
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert peak - counts.nbytes < 4 * 8 * zchain._SIM_BLOCK
+    # the walk holds a few block-sized arrays at a time and sums each
+    # batch's displacements as it goes, never a steps-long path or an
+    # (n + 1) x steps table
+    for sim in (lambda: bernoulli_chain_sim(2, 0.5, 10**6, make_rng(89)),
+                lambda: lattice_chain_sim(THREE_ATOM, 2, 10**6,
+                                          make_rng(89))):
+        tracemalloc.start()
+        try:
+            sim()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 8 * zchain._SIM_BLOCK
 
 
 def test_chain_sim_large_n_stays_in_range():
-    counts = zchain._bernoulli_counts(64, 0.5, 20_000, make_rng(83))
+    counts = walk_counts(64, 0.5, 20_000, make_rng(83))
     assert counts.min() >= 0 and counts.max() <= 64
     est = bernoulli_chain_sim(64, 0.5, 20_000, make_rng(83))
     assert 0.0 <= est.value <= 1.0
@@ -669,11 +765,6 @@ def test_lattice_s_against_particle_draws():
 # depth-count chain: the array enumeration against a per-composition loop
 
 
-FIVE_ATOM = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.25), (-2, 0.15),
-                                     (-3, 0.12), (-4, 0.08)))
-DEEP = LatticeLaw(top=0, atoms=((0, 0.5), (-1, 0.4), (-12, 0.1)))
-
-
 def _ref_compositions(n, k):
     if k == 1:
         yield (n,)
@@ -757,7 +848,7 @@ def _wide(law):
 def test_lattice_chain_equals_per_composition_loop(law, n):
     # the span + 1 slots hold the chain: the wide reference's states carry
     # span + 1 leading zeros, and its rows and class laws are the same
-    states, rows, cums = zchain._lattice_chain(law, n, 10 ** 6)
+    states, rows, cums, *_ = zchain._lattice_chain(law, n, 10 ** 6)
     ref_states, ref_rows, ref_cums = _ref_lattice_chain(law, n, _wide(law))
     slots = law.top - law.bottom + 1
     assert {len(state) for state in states} == {slots}
@@ -767,28 +858,84 @@ def test_lattice_chain_equals_per_composition_loop(law, n):
     assert [c.tolist() for c in cums] == [c.tolist() for c in ref_cums]
 
 
-def _ref_chain_sim(law, n, steps, rng, window):
-    counts = np.zeros(window, dtype=int)
-    counts[-1] = n
-    moves = np.zeros(steps + 1)
-    for t in range(steps):
-        offsets, s = lattice_s(counts, law)
-        draw = rng.multinomial(int(counts.sum()), s / s.sum())
-        state, moves[t + 1] = _ref_recenter(offsets, draw, window)
-        counts = np.array(state)
-    return engine.batch_means(np.cumsum(moves), 32)
+def _ref_walk_rows(law, n):
+    """The reference rows of the chain walk on wide states, by BFS from
+    all-at-leader: per state, the scalar multinomial pmfs of the reversed
+    compositions (the top class's count rising) summed in order, the last
+    sum set to 1, and each composition's recentered state and phi."""
+    window = _wide(law)
+    start = (0,) * (window - 1) + (n,)
+    rows, queue = {}, [start]
+    while queue:
+        state = queue.pop()
+        if state in rows:
+            continue
+        offsets, s = lattice_s(np.array(state), law)
+        support = np.nonzero(s)[0]
+        splits = list(_ref_compositions(n, len(support)))[::-1]
+        cdf = list(itertools.accumulate(
+            _ref_multinomial_pmf(split, s[support]) for split in splits))
+        cdf[-1] = 1.0
+        hops = [_ref_recenter(offsets[support], np.array(split), window)
+                for split in splits]
+        rows[state] = (cdf, hops)
+        queue += [target for target, _ in hops if target not in rows]
+    return rows, start
 
 
+def _ref_walk(rows, state, uniforms):
+    """One step a uniform: the composition at bisect_right of the uniform
+    on the state's cumulative row. Returns the states and phis."""
+    states, phis = [], []
+    for u in uniforms:
+        cdf, hops = rows[state]
+        state, phi = hops[bisect.bisect_right(cdf, u)]
+        states.append(state)
+        phis.append(phi)
+    return states, phis
+
+
+def _narrow(law, states):
+    """Wide reference states on the span + 1 slots, which hold them."""
+    slots = law.top - law.bottom + 1
+    assert {state[:-slots] for state in states} <= {(0,) * slots}
+    return [state[-slots:] for state in states]
+
+
+# 1 and L - 1 steps run the bisect loop alone; one block plus one runs a
+# full block's scan (on at most 256 thresholds) and a one-step block
 @pytest.mark.parametrize("law,n", [
     pytest.param(THREE_ATOM, 2, id="three-2"),
     pytest.param(THREE_ATOM, 3, id="three-3"),
+    pytest.param(FIVE_ATOM, 4, id="five-4"),
+    pytest.param(DEEP, 2, id="deep"),
     *RANDOM_SIMS,
 ])
 def test_lattice_chain_sim_equals_step_loop(law, n):
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        got = lattice_chain_sim(law, n, 4000, make_rng(61))
-    assert got == _ref_chain_sim(law, n, 4000, make_rng(61), _wide(law))
+    rows, start = _ref_walk_rows(law, n)
+    for steps in (1, _CHUNK - 1, zchain._SIM_BLOCK + 1):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            states, phi = walk(law, n, steps, make_rng(61))
+        want_states, want_phi = _ref_walk(rows, start,
+                                          make_rng(61).random(steps))
+        assert states == _narrow(law, want_states), steps
+        assert phi.tolist() == want_phi, steps
+    got = lattice_chain_sim(law, n, 4000, make_rng(61))
+    _, want_phi = _ref_walk(rows, start, make_rng(61).random(4000))
+    assert got == engine.batch_means(np.cumsum([0.0, *want_phi]), 32)
+
+
+def test_lattice_chain_sim_state_cap(monkeypatch):
+    # the walk enumerates the chain first: the cap stops it before the
+    # walk allocates anything
+    def no_walk(*args):
+        raise AssertionError("walk reached past the state cap")
+
+    monkeypatch.setattr(zchain, "_MAX_STATES", 3)
+    monkeypatch.setattr(zchain, "_walk", no_walk)
+    with pytest.raises(RuntimeError, match="exceeds 3 states"):
+        lattice_chain_sim(THREE_ATOM, 6, 1000, make_rng(0))
 
 
 @pytest.mark.parametrize("top", [0, 2])
@@ -829,7 +976,7 @@ def test_two_point_chain_equals_bernoulli_chain(n, q):
     # the two-slot depth chain must reproduce the leader-count chain rows
     # bit for bit, with counts 0 and N merged into one state
     law = two_point(q)
-    states, rows, _ = zchain._lattice_chain(law, n, max_states=500)
+    states, rows, *_ = zchain._lattice_chain(law, n, max_states=500)
     index = {s: i for i, s in enumerate(states)}
     assert set(states) == {(n - j, j) for j in range(1, n + 1)}
 
@@ -917,7 +1064,7 @@ def test_lattice_state_cap_keeps_five_atoms_at_n14():
     # two 4096 x 4096 float64 matrices (2 x 134 MB) bound the dense solve;
     # the five-atom law at N = 14 enumerates within the cap
     assert zchain._MAX_STATES ** 2 * 8 <= 135_000_000
-    states, _, _ = zchain._lattice_chain(FIVE_ATOM, 14, zchain._MAX_STATES)
+    states, *_ = zchain._lattice_chain(FIVE_ATOM, 14, zchain._MAX_STATES)
     assert len(states) == 2380
 
 
@@ -931,16 +1078,7 @@ def test_lattice_speed_validation():
 
 
 # ---------------------------------------------------------------------------
-# speed gap prediction and sandwich bounds
-
-
-def test_gap_speed_prediction_formula():
-    got = gap_speed_prediction(0.0, -1.0, 0.5, 3)
-    assert got == pytest.approx(-(0.5 ** 9) * 8.0)
-    with pytest.raises(ValueError):
-        gap_speed_prediction(0.0, 1.0, 0.5, 3)
-    with pytest.raises(ValueError):
-        gap_speed_prediction(1.0, 0.0, 1.0, 3)
+# sandwich bounds
 
 
 def test_sandwich_brackets_two_point():
