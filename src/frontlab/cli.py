@@ -177,9 +177,8 @@ def _zchain_cell(dist, n, q, probs, mode, steps, rng):
         q_out = float(qv)
     else:
         law = _lattice_law(probs)
-        rep = zchain.lattice_speed(law, n)
+        rep, sim = zchain._lattice_speed_sim(law, n, steps, rng)
         v_exact, gap = rep.value, rep.ladder.sum()
-        sim = zchain.lattice_chain_sim(law, n, steps, rng)
         q_out = 1.0 - law.prob_of(law.top)
     scale = q_out ** (n * n) * 2.0 ** n
     # no ratio where the scale is 0: a point mass at the top, or underflow

@@ -20,12 +20,14 @@ every offspring, so none lands below it plus bottom, nor the new leader
 above it plus top: the span + 1 slots hold the chain exactly. Speeds come
 from the stationary mean of the per-step leader displacement.
 
-The reachable depth states are enumerated on arrays: the compositions of N
-into k landing classes are built once per k, every composition is recentered
-and grouped by target once per set of landing classes (the leader is a
-parent, so classes lie in [bottom, top] and few sets occur), and each state
-then only forms its multinomial masses in one vector pass. The rows are
-bit-identical to a per-composition scalar loop. Both chain simulations are
+The reachable depth states are enumerated on arrays, one BFS level at a
+time: the compositions of N into k landing classes are built once per k,
+every composition is recentered and grouped by target once per set of
+landing classes (the leader is a parent, so classes lie in [bottom, top] and
+few sets occur), the level's class laws come from one table of scalar
+powers F^c, and the level's states with one class set form their
+multinomial masses together. The rows are bit-identical to a
+per-composition scalar loop. Both chain simulations are
 one inverse-CDF walk on the compositions in reverse lexicographic order
 (for the two-point law, the leader counts): one uniform a step, and the
 composition ``bisect_right`` finds on the state's cumulative masses. Up to
@@ -36,7 +38,9 @@ first, so it stops at the exact solve's 4096-state cap.
 Stationary laws, return times and hitting analyses all come from one
 Grassmann-Taksar-Heyman elimination, which never subtracts: float results are
 relatively accurate to the ends of the float range (nu(0) ~ q^{N^2} 2^N reads
-0 below ~1e-308, E_0[T_0] reads inf). ``exact`` runs the same elimination, in
+0 below ~1e-308, E_0[T_0] reads inf). In float, chains past 65 states are
+eliminated in blocks, so large depth chains spend their time in matrix
+products. ``exact`` runs the same elimination, in
 the same state order, on Python ints: each row is int numerators over one
 denominator, each update is cut back by an exact division by the previous
 pivot (fraction-free, as in Bareiss's elimination), and Fractions are built
@@ -50,9 +54,9 @@ import bisect
 import itertools
 import math
 import warnings
-from collections import deque
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -87,9 +91,18 @@ _SIM_BLOCK = 1 << 16   # uniforms per block draw of the chain simulation
 # took 2.6 ms scanned against 13.6 looped at N = 2, 12.2 vs 15.0 at N = 16,
 # even from N = 18 to 20 (2-core x86 box, numpy 2.4.6).
 _SIM_SCAN_MAX_CUTS = 256
-# largest depth-chain state space lattice_speed solves: its dense solve
-# holds two (states, states) float64 matrices, 2 x 134 MB at this cap
+# largest depth-chain state space lattice_speed solves: its blocked dense
+# solve still holds two (states, states) float64 matrices, 2 x 134 MB here
 _MAX_STATES = 4096
+# states per panel of the blocked float GTH elimination above its unblocked
+# base of _MAX_DENSE_N + 1 states. On random dense chains blocking paid from
+# the first panel on (unblocked -> blocked): 80 states 1.05 -> 0.90 ms, 126
+# states 2.8 -> 1.9 ms, 330 states 26 -> 4.8 ms, 715 states 296 -> 17 ms,
+# 1365 states 2.3 s -> 71 ms; 2380 states took 0.36 s. Width 96 was within
+# 10% of this, width 32 up to 45% slower (2-core x86 box, OpenBLAS).
+_GTH_PANEL = 64
+# (state, composition) entries per block of the depth chain's mass arrays
+_CHAIN_BLOCK = 1 << 16
 
 
 def parse_q(q, exact: bool = False):
@@ -137,21 +150,42 @@ def bernoulli_matrix(n: int, q, exact: bool = False) -> np.ndarray:
 
 def _gth(a: np.ndarray, deficit: np.ndarray) -> None:
     """Grassmann-Taksar-Heyman elimination (Oper. Res. 33(5), 1985) on
-    floats, in place.
+    floats, in place, blocked.
 
     Censors states n-1, ..., 0. Pivot k is 1 - a_kk formed as a sum, the
     mass ``deficit[k]`` leaving the system plus ``a[k, :k]``, so no step
-    subtracts; it goes to ``a[k, k]`` and divides ``a[:k, k]``. A zero pivot
-    above state 0 raises ZeroDivisionError. Exact mode runs the same
-    elimination on int rows (``_gth_rows``), not on arrays of Fractions.
+    subtracts; it goes to ``a[k, k]`` and divides ``a[:k, k]``. The lowest
+    ``_MAX_DENSE_N`` + 1 states are eliminated one rank-1 update at a time,
+    so leader-count chains run as before, operation for operation. Above
+    them the states go in panels of ``_GTH_PANEL``, top panel first. In a
+    panel B, the rank-1 updates are confined to its rows and columns: each
+    state's row, column and deficit take the updates of the panel's states
+    eliminated before it as matrix-vector products. The states U below
+    then take all of them at once, ``a[U, U] += a[U, B] @ a[B, U]`` (the
+    deficit as one more column). Every operand is nonnegative, so blocking
+    changes only the order of the sums. A zero pivot above state 0 raises
+    ZeroDivisionError. Exact mode runs the unblocked elimination on int
+    rows (``_gth_rows``), not on arrays of Fractions.
     """
-    for k in range(a.shape[0] - 1, -1, -1):
-        a[k, k] = deficit[k] + a[k, :k].sum()
-        if k and a[k, k] == 0:
-            raise ZeroDivisionError(f"zero GTH pivot at state {k}")
-        a[:k, k] /= a[k, k]
-        a[:k, :k] += np.outer(a[:k, k], a[k, :k])
-        deficit[:k] += a[:k, k] * deficit[k]
+    n = a.shape[0]
+    edges = [0, *range(min(n, _MAX_DENSE_N + 1), n, _GTH_PANEL), n]
+    for lo, hi in zip(edges[-2::-1], edges[:0:-1]):
+        for k in range(hi - 1, lo - 1, -1):
+            if lo:
+                top = a[k, k + 1:hi]
+                a[k, :k] += top @ a[k + 1:hi, :k]
+                a[:k, k] += a[:k, k + 1:hi] @ a[k + 1:hi, k]
+                deficit[k] += top @ deficit[k + 1:hi]
+            a[k, k] = deficit[k] + a[k, :k].sum()
+            if k and a[k, k] == 0:
+                raise ZeroDivisionError(f"zero GTH pivot at state {k}")
+            a[:k, k] /= a[k, k]
+            if not lo:
+                a[:k, :k] += np.outer(a[:k, k], a[k, :k])
+                deficit[:k] += a[:k, k] * deficit[k]
+        if lo:
+            deficit[:lo] += a[:lo, lo:hi] @ deficit[lo:hi]
+            a[:lo, :lo] += a[:lo, lo:hi] @ a[lo:hi, :lo]
 
 
 def _int_rows(p: np.ndarray, keep) -> tuple[list, list]:
@@ -506,7 +540,9 @@ def lattice_s(counts, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
     ``(offsets, probs)`` where ``offsets`` runs over the displacement
     classes law.bottom, ..., law.top relative to the current leader (the
     leader is a parent, so no offspring lands lower). The cumulative
-    products telescope, so probs sums to 1 exactly up to rounding.
+    products telescope, so probs sums to 1 exactly up to rounding. The
+    products are those of ``_class_laws``, on a table of the counts that
+    occur, so one state gives the bits of a batch holding it.
     """
     counts = np.asarray(counts)
     w = counts.size
@@ -514,17 +550,42 @@ def lattice_s(counts, law: LatticeLaw) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError(f"need span + 1 depth slots, got {w}")
     if counts[-1] < 1:
         raise ValueError("top slot (the leader) must be occupied")
-    occ = np.nonzero(counts)[0]
-    depths = occ - (w - 1)
+    used, rank = np.unique(counts, return_inverse=True)
+    return (np.arange(law.bottom, law.top + 1),
+            _class_laws(_power_table(law, w, used.tolist()),
+                        rank.reshape(1, w))[0])
+
+
+def _power_table(law: LatticeLaw, slots: int, exponents) -> np.ndarray:
+    """The (slots, exponents, classes) table of F(offset - depth)^c for
+    every depth slot, count c in ``exponents`` and landing class offset
+    (law.bottom, ..., law.top). Each distinct F value is raised once per
+    count by scalar ``np.power``, as in ``bernoulli_matrix``: numpy's
+    vectorized pow can differ from it by an ulp, depending on array layout
+    and SIMD target."""
     offsets = np.arange(law.bottom, law.top + 1)
-    # cum[r] = P(one offspring displaces by <= offsets[r])
-    args = offsets[:, None] - depths[None, :]
-    cum = np.prod(law.cdf_int(args) ** counts[occ][None, :], axis=1)
-    s = np.diff(cum, prepend=0.0)
+    base = law.cdf_int(offsets[None, :] - np.arange(1 - slots, 1)[:, None])
+    values, where = np.unique(base.ravel(), return_inverse=True)
+    powers = np.array([[np.power(v, c) for v in values.tolist()]
+                       for c in exponents])
+    return np.ascontiguousarray(
+        powers[:, where.reshape(base.shape)].transpose(1, 0, 2))
+
+
+def _class_laws(table: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Landing-class laws of the (states, slots) ``counts``, one row a
+    state, given as positions among the ``_power_table``'s exponents: each
+    class's cumulative law is the product of its table entries in slot
+    order (a count of 0 gives a factor 1, exactly), then differenced."""
+    cum = table[0, counts[:, 0]]
+    for j in range(1, counts.shape[1]):
+        cum *= table[j, counts[:, j]]
+    s = cum.copy()
+    s[:, 1:] -= cum[:, :-1]
     if s.min() < -1e-9:
         raise RuntimeError(f"class probabilities lost mass: min {s.min():g}")
     np.clip(s, 0.0, None, out=s)
-    return offsets, s
+    return s
 
 
 def _recenter(offsets, splits, window: int) -> tuple[np.ndarray, np.ndarray]:
@@ -600,84 +661,138 @@ def _compositions(n: int, k: int) -> tuple[np.ndarray, np.ndarray]:
     return comps, coeff.astype(float)
 
 
-def _lattice_chain(law: LatticeLaw, n: int, max_states: int):
+class _Chain(NamedTuple):
+    """A depth chain enumerated by ``_lattice_chain``."""
+    states: list           # depth-count tuples, in BFS order
+    source: np.ndarray     # the transition rows' entries: from state
+    target: np.ndarray     # source[e] to state target[e]
+    mass: np.ndarray       # with probability mass[e], once per pair
+    cums: np.ndarray       # (states, classes) cumulative class laws
+    moves: list | None     # walk only: per state, its compositions'
+                           # arrivals and cumulative masses
+    arrivals: list | None  # walk only: the (successor, phi) pairs
+
+
+def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
+                   walk: bool = False) -> _Chain:
     """BFS the reachable depth states from all-at-leader; sparse rows.
 
-    Returns (states, rows, cums, moves, arrivals) where rows[i] maps
-    successor index to probability, cums[i] is the cumulative landing-class
-    law from state i (so cums[i][r]^n is the chance the step displacement
-    stays <= class r), and moves[i] holds the arrivals and cumulative masses
-    (the last set to 1) of state i's compositions in reverse lexicographic
-    order. An arrival is a (successor, leader displacement phi) pair.
+    ``cums[i]`` is the cumulative landing-class law from state i (so
+    ``cums[i][r]^n`` is the chance the step displacement stays <= class
+    r). With ``walk``, ``moves[i]`` holds the arrivals and cumulative
+    masses (the last set to 1) of state i's compositions in reverse
+    lexicographic order; an arrival is a (successor, leader displacement
+    phi) pair, numbered in ``arrivals``.
 
-    A state's successors are the compositions of n over its occupied landing
-    classes, recentered. Landing classes lie in [law.bottom, law.top] (the
-    leader is a parent), so few class sets occur: each is recentered and
-    grouped by target once, in arrays, and later states with the same set
-    only recompute the masses. Masses multiply in the order of a scalar
-    multinomial pmf (coefficient, then each class's power in class order),
-    from scalar powers, and each target sums its masses in composition
-    order, so rows are bit-identical to a per-composition loop. New states
-    are numbered in order of first appearance, which keeps the BFS order.
+    A state's successors are the compositions of n over its occupied
+    landing classes, recentered. Landing classes lie in [law.bottom,
+    law.top] (the leader is a parent), so few class sets occur: each is
+    recentered and grouped by target once, in arrays. The states go one
+    BFS level at a time: one ``_class_laws`` call gives the level's class
+    laws, and the level's states are grouped by class set. A group's
+    masses are one gather per class into a (states, compositions) block,
+    multiplied in the order of a scalar multinomial pmf (coefficient, then
+    each class's power in class order) from scalar powers; one
+    ``bincount`` sums each target's masses in composition order, and one
+    ``cumsum`` gives the walk's masses. So rows are bit-identical to a
+    per-composition loop. A level's new class sets are met in state order
+    and number new states in order of first appearance, as a state-by-
+    state BFS does. Blocks hold at most ``_CHAIN_BLOCK`` entries.
     """
+    if n < 1:
+        raise ValueError("need n >= 1")
     window = law.top - law.bottom + 1
+    offsets = np.arange(law.bottom, law.top + 1)
+    table = _power_table(law, window, range(n + 1))
     start = np.zeros(window, dtype=np.int64)
     start[-1] = n
-    index = {start.tobytes(): 0}
-    states = [tuple(start.tolist())]
-    rows, cums, moves = [], [], []
+    keys = [start.tobytes()]   # the states' bytes, in BFS order
+    index = {keys[0]: 0}
     arrivals = {(0, law.top): 0}
-    queue = deque([start])
+    source, target, mass, cums, moves = [], [], [], [], []
     # per class count k: the compositions of n into k parts, coefficients;
-    # per class set: those, the successor columns, each composition's
-    # position among them, and the compositions' arrivals, reversed
+    # per class set: its classes, those, the successor columns, each
+    # composition's position among them, and the compositions' arrivals,
+    # reversed
     compositions, layouts = {}, {}
-    while queue:
-        offsets, s = lattice_s(queue.popleft(), law)
-        cums.append(np.cumsum(s))
-        support = np.nonzero(s)[0]
-        classes = offsets[support].tobytes()
-        if classes not in layouts:
-            k = len(support)
-            if k not in compositions:
-                compositions[k] = _compositions(n, k)
-            comps, coeff = compositions[k]
-            targets, phi = _recenter(offsets[support], comps, window)
-            keys = targets.view(f"V{8 * window}").ravel().tolist()  # row bytes
-            found = dict.fromkeys(keys)   # in order of first appearance
-            for key in found:
-                j = index.get(key)
-                if j is None:
-                    if len(states) >= max_states:
-                        raise RuntimeError(
-                            f"depth state space exceeds {max_states} "
-                            f"states, the dense stationary solve's bound")
-                    j = index[key] = len(states)
-                    target = np.frombuffer(key, dtype=np.int64)
-                    states.append(tuple(target.tolist()))
-                    queue.append(target)
-                found[key] = j
-            rank = {key: i for i, key in enumerate(found)}
-            position = np.fromiter(map(rank.__getitem__, keys), dtype=np.intp,
-                                   count=len(keys))
-            cols = list(found.values())
-            arrive = [arrivals.setdefault(pair, len(arrivals)) for pair in
-                      zip(np.array(cols)[position].tolist(), phi.tolist())]
-            layouts[classes] = (comps, coeff, cols, position,
-                                np.array(arrive[::-1]))
-        comps, coeff, cols, position, arrive = layouts[classes]
-        # p ** c by scalar pow: numpy's vectorized pow can differ by an ulp
-        powers = np.array([[p ** c for c in range(n + 1)] for p in s[support]])
-        mass = coeff.copy()
-        for j, column in enumerate(comps.T):
-            mass *= powers[j, column]
-        sums = np.zeros(len(cols))
-        np.add.at(sums, position, mass)
-        rows.append(dict(zip(cols, sums.tolist())))
-        cdf = np.cumsum(mass[::-1])
-        cdf[-1] = 1.0
-        moves.append((arrive, cdf))
-    return states, rows, cums, moves, list(arrivals)
+    lo = 0
+    while lo < len(keys):
+        hi = len(keys)
+        counts = np.frombuffer(b"".join(keys[lo:hi]), dtype=np.int64)
+        s = _class_laws(table, counts.reshape(hi - lo, window))
+        cums.append(np.cumsum(s, axis=1))
+        occupied = s > 0
+        groups = {}
+        for i, classes in enumerate(
+                occupied.view(f"V{offsets.size}").ravel().tolist()):
+            groups.setdefault(classes, []).append(i)
+        level = [None] * (hi - lo)
+        for classes, members in groups.items():
+            if classes not in layouts:
+                support = np.flatnonzero(occupied[members[0]])
+                k = len(support)
+                if k not in compositions:
+                    compositions[k] = _compositions(n, k)
+                comps, coeff = compositions[k]
+                targets, phi = _recenter(offsets[support], comps, window)
+                arriving = targets.view(f"V{8 * window}").ravel().tolist()
+                found = dict.fromkeys(arriving)  # by first appearance
+                for key in found:
+                    j = index.get(key)
+                    if j is None:
+                        if len(keys) >= max_states:
+                            raise RuntimeError(
+                                f"depth state space exceeds {max_states} "
+                                f"states, the dense stationary solve's "
+                                f"bound")
+                        j = index[key] = len(keys)
+                        keys.append(key)
+                    found[key] = j
+                rank = {key: i for i, key in enumerate(found)}
+                position = np.fromiter(map(rank.__getitem__, arriving),
+                                       dtype=np.intp, count=len(arriving))
+                cols = np.fromiter(found.values(), dtype=np.intp,
+                                   count=len(found))
+                arrive = None
+                if walk:
+                    arrive = np.array([
+                        arrivals.setdefault(pair, len(arrivals)) for pair in
+                        zip(cols[position].tolist(), phi.tolist())][::-1])
+                layouts[classes] = (support, comps.T.copy(), coeff, cols,
+                                    position, arrive)
+            support, parts, coeff, cols, position, arrive = layouts[classes]
+            step = max(1, _CHAIN_BLOCK // coeff.size)
+            for first in range(0, len(members), step):
+                batch = np.array(members[first:first + step])
+                g = batch.size
+                # p ** c by scalar pow: numpy's vectorized pow can differ
+                # by an ulp
+                powers = np.array([
+                    p ** c for p in s[batch][:, support].T.ravel().tolist()
+                    for c in range(n + 1)]).reshape(len(support), g, n + 1)
+                block = coeff * powers[0].take(parts[0], axis=1)
+                for j in range(1, len(support)):
+                    block *= powers[j].take(parts[j], axis=1)
+                sums = np.bincount(
+                    (position + cols.size * np.arange(g)[:, None]).ravel(),
+                    weights=block.ravel(), minlength=g * cols.size)
+                source.append(np.repeat(batch + lo, cols.size))
+                target.append(np.tile(cols, g))
+                mass.append(sums)
+                if walk:
+                    cdf = np.cumsum(block[:, ::-1], axis=1)
+                    cdf[:, -1] = 1.0
+                    for i, row in zip(batch.tolist(), cdf):
+                        level[i] = (arrive, row)
+        if walk:
+            moves += level
+        lo = hi
+    states = np.frombuffer(b"".join(keys), dtype=np.int64)
+    return _Chain(list(map(tuple, states.reshape(-1, window).tolist())),
+                  np.concatenate(source), np.concatenate(target),
+                  np.concatenate(mass), np.concatenate(cums),
+                  moves if walk else None,
+                  list(arrivals) if walk else None)
 
 
 def lattice_speed(law: LatticeLaw, n: int,
@@ -693,21 +808,20 @@ def lattice_speed(law: LatticeLaw, n: int,
         warnings.warn("lattice_speed: window is ignored; the depth chain "
                       "runs on span + 1 slots, derived from the law",
                       DeprecationWarning, stacklevel=2)
-    if n < 1:
-        raise ValueError("need n >= 1")
-    states, rows, cums, _, _ = _lattice_chain(law, n, _MAX_STATES)
-    size = len(states)
-    cols = np.fromiter(itertools.chain.from_iterable(rows), dtype=np.intp)
-    probs = np.fromiter(itertools.chain.from_iterable(
-        row.values() for row in rows), dtype=float, count=cols.size)
+    return _lattice_report(law, n, _lattice_chain(law, n, _MAX_STATES))
+
+
+def _lattice_report(law: LatticeLaw, n: int,
+                    chain: _Chain) -> LatticeSpeedReport:
+    """``lattice_speed``'s report from the enumerated chain."""
+    size = len(chain.states)
     p = np.zeros((size, size))
-    p[np.repeat(np.arange(size), [len(row) for row in rows]), cols] = probs
+    p[chain.source, chain.target] = chain.mass
     nu = _stationary(p)
 
     # P(step displacement <= class r | state) = cum_r^n, so the speed is
     # top - sum over classes below top of the stationary dive probabilities
-    cum_n = np.array([c ** n for c in cums])
-    dive = nu @ cum_n                  # indexed by class, bottom..top
+    dive = nu @ chain.cums ** n        # indexed by class, bottom..top
     value = law.top - float(dive[:-1].sum())
     ladder = dive[-2::-1]              # P_nu(phi <= top - j), j = 1..span
     span = ladder.size
@@ -733,13 +847,30 @@ def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
 
 def _chain_sim(law, n, steps, rng, n_batches) -> SpeedEstimate:
     """``lattice_chain_sim``; ``bernoulli_chain_sim`` calls it directly, so
-    a tracer counts its steps as its own. Each block's phis are summed per
-    batch as the walk goes: only the batch edges are kept, exact sums."""
+    a tracer counts its steps as its own."""
     _check_batches(n_batches, steps)
+    return _walk_means(_lattice_chain(law, n, _MAX_STATES, walk=True),
+                       steps, rng, n_batches)
+
+
+def _lattice_speed_sim(law: LatticeLaw, n: int, steps: int,
+                       rng: np.random.Generator,
+                       n_batches: int = _SIM_BATCHES):
+    """``lattice_speed`` and ``lattice_chain_sim`` on one enumeration: the
+    report, and the estimate the simulation would draw from ``rng``."""
+    _check_batches(n_batches, steps)
+    chain = _lattice_chain(law, n, _MAX_STATES, walk=True)
+    return (_lattice_report(law, n, chain),
+            _walk_means(chain, steps, rng, n_batches))
+
+
+def _walk_means(chain: _Chain, steps, rng, n_batches) -> SpeedEstimate:
+    """Batch means of the walk's phis. Each block's phis are summed per
+    batch as the walk goes: only the batch edges are kept, exact sums."""
     length = steps // n_batches
     sums = np.zeros(n_batches, dtype=np.int64)
     start = 0
-    for _, phi in _walk(*_lattice_chain(law, n, _MAX_STATES)[3:], steps, rng):
+    for _, phi in _walk(chain.moves, chain.arrivals, steps, rng):
         # the steps past the last whole batch are walked, not counted
         part = phi[:max(length * n_batches - start, 0)]
         if part.size:
@@ -827,7 +958,13 @@ def _walk(moves: list, arrivals: list, steps: int, rng: np.random.Generator):
     state, hop = np.array(arrivals).T
     # phis in a signed type just wide enough: a block of them stays small
     hop = hop.astype(np.min_scalar_type(-1 - abs(hop).max()))
-    cuts = np.unique(np.concatenate([cdf[cdf < 1.0] for _, cdf in moves]))
+    # the merged thresholds, counted only until the walk cannot scan
+    cuts = set()
+    for _, cdf in moves:
+        cuts.update(cdf[cdf < 1.0].tolist())
+        if len(cuts) > _SIM_SCAN_MAX_CUTS:
+            break
+    cuts = np.array(sorted(cuts))
     # the first block is the largest: if any block scans, it does
     if _sim_chunk_length(cuts.size, min(steps, _SIM_BLOCK)) > 1:
         table = _step_maps(cuts, moves)[:, state]

@@ -2,7 +2,8 @@
 Heyman elimination on numpy object arrays of Fractions, one normalized
 Fraction per entry and operation. frontlab runs the same elimination, in the
 same state order, on integer rows; tests compare its exact results against
-these.
+these. On float arrays, ``gth`` is the unblocked float elimination, the
+reference for frontlab's blocked one.
 """
 import numpy as np
 

@@ -144,14 +144,16 @@ def test_c08_lattice_chain_reduction():
     # two-point chain reproduces the leader-count chain rows bit for bit
     for n, q in ((2, 0.5), (3, 0.35), (4, 0.6)):
         law = two_point(q)
-        states, rows, *_ = zchain._lattice_chain(law, n, max_states=500)
-        index = {s: i for i, s in enumerate(states)}
+        chain = zchain._lattice_chain(law, n, max_states=500)
+        index = {s: i for i, s in enumerate(chain.states)}
+        lp = np.zeros((len(index), len(index)))
+        lp[chain.source, chain.target] = chain.mass
         p = zchain.bernoulli_matrix(n, q)
         for j in range(1, n + 1):
             brow = p[j]
-            lrow = rows[index[(n - j, j)]]
+            lrow = lp[index[(n - j, j)]]
             for k in range(1, n):
-                assert lrow.get(index[(n - k, k)], 0.0) == brow[k], (n, q, j)
+                assert lrow[index[(n - k, k)]] == brow[k], (n, q, j)
             assert lrow[index[(0, n)]] == brow[n] + brow[0], (n, q, j)
     print("[c08] two-point rows identical to leader-count rows")
 

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from frontlab import cli, gumbel_exact
+from frontlab import cli, gumbel_exact, zchain
 
 GUMBEL = '{"type":"gumbel"}'
 BERN = '{"type":"bernoulli","p":0.5}'
@@ -173,6 +173,27 @@ def test_zchain_lattice_sim_agrees_with_exact(capsys):
     assert code == 0
     row = json.loads(out)
     assert abs(row["v_sim"] - row["v_exact"]) <= 4.0 * row["se"]
+
+
+def test_zchain_lattice_row_enumerates_the_chain_once(monkeypatch):
+    # the exact speed and the simulation share one enumeration, and give
+    # what lattice_speed and lattice_chain_sim give on their own
+    law = cli._lattice_law(LATTICE)
+    want_exact = zchain.lattice_speed(law, 3).value
+    want_sim = zchain.lattice_chain_sim(law, 3, 2000,
+                                        np.random.default_rng(5))
+    calls = []
+    enumerate_chain = zchain._lattice_chain
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return enumerate_chain(*args, **kwargs)
+
+    monkeypatch.setattr(zchain, "_lattice_chain", counted)
+    row = cli._zchain_cell("lattice", 3, None, LATTICE, "fast", 2000,
+                           np.random.default_rng(5))
+    assert len(calls) == 1
+    assert row[2:5] == [want_exact, want_sim.value, want_sim.std_err]
 
 
 def test_zchain_validation_errors(capsys):

@@ -271,6 +271,21 @@ def test_float_speed_passes_kac_check_across_the_range():
             assert kac_residual(n, q) <= 1e-10, (n, q)
 
 
+def _ladder_with_trap(size, trap, exact):
+    """A walk on 0..size-1 stepping down or up with chance 1/2 each
+    (reflected at the ends), but ``trap`` only stays put."""
+    half = Fraction(1, 2) if exact else 0.5
+    p = np.zeros((size, size), dtype=object if exact else float)
+    p[:] = half - half
+    for k in range(size):
+        if k == trap:
+            p[k, k] = 2 * half
+            continue
+        for j in (k - 1, k + 1):
+            p[k, abs(j) if j < size else size - 2] += half
+    return p
+
+
 @pytest.mark.parametrize("exact", [False, True])
 def test_zero_pivot_raises(exact):
     # states 1 and 2 only swap with each other and state 3 only stays put,
@@ -283,6 +298,62 @@ def test_zero_pivot_raises(exact):
         zchain._first_step(p, np.arange(3))(np.ones(3, int))
     with pytest.raises(ZeroDivisionError):
         zchain._stationary(p)
+    # past the unblocked base, a trap has no way down either: states 65 to
+    # 128 are the float elimination's second panel, 0 to 64 its base
+    size = zchain._MAX_DENSE_N + 1 + 2 * zchain._GTH_PANEL - 20
+    for trap in (100, 30):
+        p = _ladder_with_trap(size, trap, exact)
+        with pytest.raises(ZeroDivisionError, match=f"state {trap}$"):
+            zchain._first_step(p, np.arange(size - 1))(np.ones(size - 1,
+                                                               int))
+        with pytest.raises(ZeroDivisionError, match=f"state {trap}$"):
+            zchain._stationary(p)
+
+
+def _depth_chain_matrix(law, n):
+    chain = zchain._lattice_chain(law, n, zchain._MAX_STATES)
+    p = np.zeros((len(chain.states),) * 2)
+    p[chain.source, chain.target] = chain.mass
+    return p
+
+
+@pytest.mark.parametrize("n,size", [(8, 330), (10, 715)])
+def test_blocked_gth_agrees_with_unblocked_elimination(n, size):
+    # four and eleven panels past the base; blocking reorders nonnegative
+    # sums only. Whole chain (no deficit), and state 0 absorbing (its
+    # column the deficit)
+    p = _depth_chain_matrix(FIVE_ATOM, n)
+    assert p.shape == (size, size)
+    for a, deficit in ((p.copy(), np.zeros(size)),
+                       (p[1:, 1:].copy(), p[1:, 0].copy())):
+        want, want_deficit = a.copy(), deficit.copy()
+        chain_oracles.gth(want, want_deficit)
+        zchain._gth(a, deficit)
+        np.testing.assert_allclose(a, want, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(deficit, want_deficit, rtol=1e-13, atol=0)
+
+
+@pytest.mark.parametrize("q", [0.3, 0.5, 0.9])
+def test_leader_count_solves_run_unblocked(monkeypatch, q):
+    # every leader-count chain, up to _MAX_DENSE_N + 1 states, is the
+    # blocked elimination's unblocked base: eliminations, stationary laws,
+    # return times and hitting analyses keep the unblocked bits
+    for n in range(2, zchain._MAX_DENSE_N + 1):
+        p = bernoulli_matrix(n, q)[::-1, ::-1]
+        a, want = p.copy(), p.copy()
+        zchain._gth(a, np.zeros(n + 1))
+        chain_oracles.gth(want, np.zeros(n + 1))
+        assert a.tobytes() == want.tobytes(), n
+
+    def solves():
+        sizes = range(1, zchain._MAX_DENSE_N + 1)
+        return ([bernoulli_stationary(n, q).tobytes() for n in sizes],
+                [expected_return_time(n, q) for n in sizes],
+                [hitting_analysis(n, q) for n in range(2, 17)])
+
+    got = solves()
+    monkeypatch.setattr(zchain, "_gth", chain_oracles.gth)
+    assert got == solves()
 
 
 @pytest.mark.parametrize("factor", [1 + 1e-6, math.nan])
@@ -445,12 +516,21 @@ def bernoulli_law(q):
 def walk(law, n, steps, rng):
     """The simulators' walk, step by step: the depth state after each step
     and the leader displacement phi."""
-    states, _, _, moves, arrivals = zchain._lattice_chain(
-        law, n, zchain._MAX_STATES)
-    blocks = list(zchain._walk(moves, arrivals, steps, rng))
+    chain = zchain._lattice_chain(law, n, zchain._MAX_STATES, walk=True)
+    blocks = list(zchain._walk(chain.moves, chain.arrivals, steps, rng))
     at = np.concatenate([a for a, _ in blocks])
     phi = np.concatenate([p for _, p in blocks])
-    return [states[arrivals[i][0]] for i in at], phi
+    return [chain.states[chain.arrivals[i][0]] for i in at], phi
+
+
+def chain_rows(chain):
+    """The enumerated chain's transition rows, one dict a state."""
+    rows = [{} for _ in chain.states]
+    for i, j, p in zip(chain.source.tolist(), chain.target.tolist(),
+                       chain.mass.tolist()):
+        assert j not in rows[i]
+        rows[i][j] = p
+    return rows
 
 
 def walk_counts(n, q, steps, rng):
@@ -600,11 +680,10 @@ def test_chain_sim_transitions_follow_matrix_rows():
     assert stats.chi2.sf(stat, dof) >= 1e-6
     # the depth chain's merged rows, along the walk's states
     for law, n in ((THREE_ATOM, 3), (FIVE_ATOM, 2)):
-        states, rows, *_ = zchain._lattice_chain(law, n, 500)
-        p = np.zeros((len(states), len(states)))
-        for i, row in enumerate(rows):
-            p[i, list(row)] = list(row.values())
-        index = {state: i for i, state in enumerate(states)}
+        chain = zchain._lattice_chain(law, n, 500)
+        p = np.zeros((len(chain.states), len(chain.states)))
+        p[chain.source, chain.target] = chain.mass
+        index = {state: i for i, state in enumerate(chain.states)}
         visited, _ = walk(law, n, 200_000, make_rng(79))
         stat, dof = _chi2_transitions(
             np.array([0] + [index[s] for s in visited]), p)
@@ -832,6 +911,42 @@ RANDOM_SIMS = _random_cases([(0, 1), (0, 4), (1, 5), (2, 2), (3, 5), (4, 3),
                              (5, 1), (6, 2), (7, 2), (8, 3)])
 
 
+def _ref_class_law(counts, law):
+    """One state's class law from scalar np.power, multiplied in slot
+    order, then differenced."""
+    w = len(counts)
+    cum = []
+    for r in range(law.bottom, law.top + 1):
+        x = 1.0
+        for slot, c in enumerate(counts):
+            x *= float(np.power(float(law.cdf_int(r + w - 1 - slot)), int(c)))
+        cum.append(x)
+    return np.clip(np.diff(cum, prepend=0.0), 0.0, None)
+
+
+@pytest.mark.parametrize("law", [
+    pytest.param(THREE_ATOM, id="three"),
+    pytest.param(FIVE_ATOM, id="five"),
+    pytest.param(DEEP, id="deep"),
+    pytest.param(_random_law(7, 5), id="random"),
+])
+def test_lattice_s_batched_equals_single_state(law):
+    # a stacked batch and one state give the same bits, those of scalar
+    # np.power products in slot order, on span + 1 slots and wider
+    rng = make_rng(47)
+    span = law.top - law.bottom
+    for n, slots in ((9, span + 1), (4, span + 3), (1, span + 1)):
+        counts = rng.multinomial(n - 1, np.ones(slots) / slots, size=60)
+        counts[:, -1] += 1
+        batch = zchain._class_laws(
+            zchain._power_table(law, slots, range(n + 1)), counts)
+        for c, row in zip(counts, batch):
+            offsets, s = lattice_s(c, law)
+            assert s.tobytes() == row.tobytes()
+            assert s.tobytes() == _ref_class_law(c, law).tobytes()
+        assert offsets.tolist() == list(range(law.bottom, law.top + 1))
+
+
 def _wide(law):
     """2 span + 2 slots: the references lump nothing there."""
     return 2 * (law.top - law.bottom) + 2
@@ -848,14 +963,14 @@ def _wide(law):
 def test_lattice_chain_equals_per_composition_loop(law, n):
     # the span + 1 slots hold the chain: the wide reference's states carry
     # span + 1 leading zeros, and its rows and class laws are the same
-    states, rows, cums, *_ = zchain._lattice_chain(law, n, 10 ** 6)
+    chain = zchain._lattice_chain(law, n, 10 ** 6)
     ref_states, ref_rows, ref_cums = _ref_lattice_chain(law, n, _wide(law))
     slots = law.top - law.bottom + 1
-    assert {len(state) for state in states} == {slots}
+    assert {len(state) for state in chain.states} == {slots}
     assert {state[:-slots] for state in ref_states} == {(0,) * slots}
-    assert states == [state[-slots:] for state in ref_states]
-    assert rows == ref_rows
-    assert [c.tolist() for c in cums] == [c.tolist() for c in ref_cums]
+    assert chain.states == [state[-slots:] for state in ref_states]
+    assert chain_rows(chain) == ref_rows
+    assert chain.cums.tolist() == [c.tolist() for c in ref_cums]
 
 
 def _ref_walk_rows(law, n):
@@ -976,7 +1091,8 @@ def test_two_point_chain_equals_bernoulli_chain(n, q):
     # the two-slot depth chain must reproduce the leader-count chain rows
     # bit for bit, with counts 0 and N merged into one state
     law = two_point(q)
-    states, rows, *_ = zchain._lattice_chain(law, n, max_states=500)
+    chain = zchain._lattice_chain(law, n, max_states=500)
+    states, rows = chain.states, chain_rows(chain)
     index = {s: i for i, s in enumerate(states)}
     assert set(states) == {(n - j, j) for j in range(1, n + 1)}
 
@@ -1064,8 +1180,8 @@ def test_lattice_state_cap_keeps_five_atoms_at_n14():
     # two 4096 x 4096 float64 matrices (2 x 134 MB) bound the dense solve;
     # the five-atom law at N = 14 enumerates within the cap
     assert zchain._MAX_STATES ** 2 * 8 <= 135_000_000
-    states, *_ = zchain._lattice_chain(FIVE_ATOM, 14, zchain._MAX_STATES)
-    assert len(states) == 2380
+    chain = zchain._lattice_chain(FIVE_ATOM, 14, zchain._MAX_STATES)
+    assert len(chain.states) == 2380
 
 
 def test_lattice_speed_validation():
