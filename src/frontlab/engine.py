@@ -9,9 +9,11 @@ based on steps whose noise matrix lets the current leader's column dominate
 every row.
 
 Runs draw their noise in blocks. Max-plus products are associative, so at
-small N a block of full steps runs as a chunked two-level scan (chunk
-products vectorized over the chunks, one sequential step per chunk, then the
-chunk rows filled in together) instead of one Python-level step per row.
+small N a block of full steps runs as a recursive chunked scan (chunk
+products vectorized over the chunks, the chunk starts by the same scan on
+the chunk products, then the chunk rows filled in together) instead of one
+Python-level step per row; integer laws draw that noise as integers, so the
+scan's sums are exact.
 At small N a reduction over the particles of a block (fronts, row maxima
 and minima, renewal screens, leaders) combines the N columns with one ufunc
 pass each, in place of numpy's row-by-row reduce, and gives numpy's result.
@@ -357,9 +359,10 @@ def _edge_means(edges: np.ndarray, length: int) -> SpeedEstimate:
 
 
 # One block of pre-drawn noise, with its scan temporaries, holds at most
-# noise._BLOCK_ELEMENTS floats. Above N = _SCAN_MAX_N the per-step loop beats
-# the chunked scan: on a 2-core x86 box with numpy 2.4.6 the scan took 4 us a
-# step at N = 12 against 5-6 us for the loop, and they were even at N = 14.
+# noise._BLOCK_ELEMENTS elements. Above N = _SCAN_MAX_N the per-step loop
+# takes the full step. On a 2-core x86 box with numpy 2.4.6 the loop took
+# 5-6 us a step at N = 12, the two-level scan 4 us (even at N = 14), and the
+# recursive scan 2.7 us on float noise and 1.4 us on int16 noise.
 _SCAN_MAX_N = 12
 # Above this N continuous laws other than the Gumbel take step_conditional:
 # sandwiched +-0.3, ms a step full vs conditional, 2.7 vs 5.7 at N = 256,
@@ -375,15 +378,21 @@ def _chunk_length(n: int, b: int) -> int:
 
 
 def _full_step_elements(n: int, b: int) -> int:
-    """Floats a block of b full steps holds at once.
+    """Elements a block of b full steps holds at once, at most.
 
     The (b, N, N) noise, and for L > 1 its chunk-major copy and the
-    (N, N, N, c) temporary of the chunk products, c = b // L.
+    (N, N, N, c) temporary of the chunk products, c = b // L; then the same
+    two for the scan of the c - 1 chunk products, and so on down the
+    recursion of :func:`_full_steps`.
     """
+    used = b * n * n
     chunk = _chunk_length(n, b)
-    if chunk == 1:
-        return b * n * n
-    return 2 * b * n * n + n ** 3 * (b // chunk)
+    while chunk > 1:
+        c = b // chunk
+        used += b * n * n + n ** 3 * c
+        b = c - 1
+        chunk = _chunk_length(n, b)
+    return used
 
 
 def _full_block(n: int, steps: int) -> int:
@@ -399,30 +408,49 @@ def _full_block(n: int, steps: int) -> int:
     return b
 
 
-def _noise_blocks(law: NoiseLaw, shape: tuple, steps: int, block: int,
-                  rng: np.random.Generator):
-    """Yield pre-drawn (b, *shape) noise blocks, b <= block, for ``steps``."""
+def _noise_blocks(draw, steps: int, block: int):
+    """Yield ``draw(b)`` for block lengths b <= block that add up to
+    ``steps``."""
     done = 0
     while done < steps:
         b = min(block, steps - done)
-        yield law.sample(rng, (b, *shape))
+        yield draw(b)
         done += b
+
+
+def _full_noise(law: NoiseLaw, rng: np.random.Generator, b: int,
+                n: int) -> np.ndarray:
+    """A (b, N, N) noise block for :func:`_full_steps`.
+
+    At N <= _SCAN_MAX_N an integer law draws it in the narrowest signed
+    integer type that holds a sum of b draws (``noise._sum_type``), so the
+    scan's products are exact integer sums, in int16 for a block of 10^4
+    Bernoulli or three-atom steps. Above it the per-step loop adds the noise
+    to float positions, and float noise is the faster there: the loop took
+    6-13% more a step on int16 noise at N = 64 and 256 (2-core x86 box,
+    numpy 2.4.6). Either way the draws and the stream are those of
+    ``law.sample``.
+    """
+    if n <= _SCAN_MAX_N and isinstance(law, (BernoulliLaw, LatticeLaw)):
+        return law.sample(rng, (b, n, n), dtype=noise._sum_type(law, b))
+    return law.sample(rng, (b, n, n))
 
 
 def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
     """(b, N) positions after each step of a pre-drawn (b, N, N) noise block.
 
     Row t is A_t (x) X(t-1), as :func:`step_with_noise` gives it. Max-plus
-    products are associative, so the block runs as a two-level scan with
+    products are associative, so the block runs as a recursive scan with
     chunk length L = :func:`_chunk_length`: the L-step product of each of the
     c = b // L chunks comes from L - 1 max-plus products vectorized over the
-    chunks, the chunk starts from c - 1 sequential :func:`step_with_noise`
-    calls, and L steps vectorized over the chunks fill in every row; the
-    b mod L steps after the last chunk take one call each. The chunk axis is
-    kept last, so every op runs over contiguous rows of length c. At L = 1
-    this is the per-step loop. Integer-valued noise gives the loop's
-    positions bit for bit, since its sums are exact; continuous noise
-    differs only by re-associated sums.
+    chunks; the chunk starts are this scan again, run on the first c - 1
+    chunk products from the same start; and L steps vectorized over the
+    chunks fill in every row. The b mod L steps after the last chunk take
+    one call each. The chunk axis is kept last, so every op runs over
+    contiguous rows of length c. Where L = 1 (short blocks, and N > 12) this
+    is the per-step loop, which ends the recursion. Integer noise (see
+    :func:`_full_noise`) gives the loop's positions bit for bit, since its
+    sums are exact; continuous noise differs only by re-associated sums.
     """
     b, n, _ = noise.shape
     chunk = _chunk_length(n, b)
@@ -439,8 +467,7 @@ def _full_steps(positions: np.ndarray, noise: np.ndarray) -> np.ndarray:
             prod = (a[j][:, :, None, :] + prod[None]).max(axis=1)
         x = np.empty((n, c))
         x[:, 0] = positions
-        for k in range(c - 1):
-            x[:, k + 1] = step_with_noise(x[:, k], prod[:, :, k])
+        x[:, 1:] = _full_steps(positions, prod[..., :-1].transpose(2, 0, 1)).T
         rows = out[:done].reshape(c, chunk, n)
         for j in range(chunk):
             x = (a[j] + x[None]).max(axis=1)
@@ -491,7 +518,8 @@ def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
     if isinstance(law, GumbelLaw):
         block = _gumbel_block(n, steps)
         tmp = np.empty(max(block - 1, 1) * n)
-        for fresh in _noise_blocks(law, (n,), steps, block, rng):
+        for fresh in _noise_blocks(lambda b: law.sample(rng, (b, n)), steps,
+                                   block):
             start = _log_sum_exps(positions[None], law.rate, tmp)
             _gumbel_rows(fresh[None], start, law.rate, tmp)
             positions = fresh[-1]
@@ -503,8 +531,8 @@ def _position_blocks(law: NoiseLaw, steps: int, rng: np.random.Generator,
             state = step_conditional(state, law, rng)
             yield state.positions[None]
         return
-    for noise in _noise_blocks(law, (n, n), steps, _full_block(n, steps),
-                               rng):
+    for noise in _noise_blocks(lambda b: _full_noise(law, rng, b, n), steps,
+                               _full_block(n, steps)):
         block = _full_steps(positions, noise)
         positions = block[-1]
         yield block
@@ -623,7 +651,7 @@ def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
                 f"{steps} steps (worst-case expected wait is N^N = {n ** n})")
         wait = max(64, (n_renewals + 1 - found) * n ** n)
         b = min(_STEP_BUDGET - steps, _full_block(n, wait))
-        noise = law.sample(rng, (b, n, n))
+        noise = _full_noise(law, rng, b, n)
         block = _full_steps(pos, noise)
         leaders = _leaders(np.vstack((pos, block[:-1])))
         hits = np.flatnonzero(is_renewal(noise, leaders))

@@ -242,8 +242,9 @@ class BernoulliLaw(NoiseLaw):
         if not 0.0 < self.p < 1.0:
             raise ValueError(f"p must lie in (0, 1), got {self.p}")
 
-    def sample(self, rng, size=None):
-        return (rng.random(size) < self.p).astype(float)
+    def sample(self, rng, size=None, dtype=float):
+        # an integer dtype gives the same draws, from the same uniforms
+        return np.asarray(rng.random(size) < self.p).astype(dtype)[()]
 
     def log_cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -310,14 +311,15 @@ class LatticeLaw(NoiseLaw):
         idx = np.searchsorted(self._values, i, side="right")
         return np.concatenate(([0.0], self._cum))[idx]
 
-    def sample(self, rng, size=None):
+    def sample(self, rng, size=None, dtype=float):
+        # an integer dtype gives the same draws, from the same uniforms
         u = rng.random(size)
         # searchsorted(cum, u)'s index: the count of cumulative sums below
         # u, one pass per sum (u < 1 = cum[-1] never counts)
         idx = np.zeros(np.shape(u), np.min_scalar_type(self._cum.size - 1))
         for c in self._cum[:-1]:
             idx += u > c
-        return self._values.astype(float)[idx]
+        return self._values.astype(dtype)[idx]
 
     def log_cdf(self, x):
         x = np.asarray(x, dtype=float)
@@ -385,6 +387,17 @@ class SandwichedGumbelLaw(NoiseLaw):
         corr = ((-6.0 / z + 2.0) / z - 1.0) / z  # 3-term asymptotic series
         out[big] = -z - np.log(z) + np.log1p(corr) - math.log(w)
         return out
+
+
+def _sum_type(law: BernoulliLaw | LatticeLaw, terms: int) -> type:
+    """The narrowest signed integer type that holds every sum of ``terms``
+    draws of an integer law, [terms * bottom, terms * top]."""
+    lo, hi = (0, 1) if isinstance(law, BernoulliLaw) else (law.bottom, law.top)
+    for t in (np.int8, np.int16, np.int32, np.int64):
+        info = np.iinfo(t)
+        if info.min <= terms * lo and terms * hi <= info.max:
+            return t
+    raise OverflowError(f"sums of {terms} draws of {law} exceed int64")
 
 
 # ---------------------------------------------------------------------------

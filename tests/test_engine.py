@@ -654,12 +654,81 @@ def test_full_steps_is_the_per_step_loop_for_integer_noise(law, n):
                                       per_step_loop(start, noise))
 
 
+FIVE_ATOM = LatticeLaw(top=0, atoms=((0, 0.4), (-1, 0.25), (-2, 0.15),
+                                     (-3, 0.12), (-4, 0.08)))
+# both run the scan on the chunk products, and at N <= 12 its own scan on
+# theirs (L = 70, then 8 and 2); 9973 is prime
+RECURSIVE_LENGTHS = (9973, 10_000)
+# dyadic, so that sums with integer noise are exact in any order
+DYADIC_START = np.array([0.0, -0.5, -2.0, 1.0, 3.0, -1.5, 0.25, -0.75, 2.5,
+                         -3.0, 1.5, 0.5])
+
+
+@pytest.mark.parametrize("law, n", [(BernoulliLaw(0.5), n)
+                                    for n in range(1, 8)]
+                         + [(law, n) for law in (THREE_ATOM, FIVE_ATOM)
+                            for n in (3, 5, 12)])
+def test_full_steps_on_integer_draws_is_the_per_step_loop(law, n):
+    start = DYADIC_START[:n]
+    for b in RECURSIVE_LENGTHS:
+        chunk = engine._chunk_length(n, b)
+        assert engine._chunk_length(n, b // chunk - 1) > 1
+        ints = engine._full_noise(law, make_rng(b), b, n)
+        floats = law.sample(make_rng(b), (b, n, n))
+        # int16 for the two-point and three-atom laws, int32 for -4 * b
+        assert ints.dtype == noise._sum_type(law, b)
+        np.testing.assert_array_equal(ints, floats)
+        np.testing.assert_array_equal(engine._full_steps(start, ints),
+                                      per_step_loop(start, floats))
+
+
+def test_full_steps_on_draws_wider_than_int16_is_the_per_step_loop():
+    # 10^4 steps of a -5000 atom sum to -5 * 10^7, past int16
+    law, n, b = LatticeLaw(top=0, atoms=((0, 0.5), (-5000, 0.5))), 3, 10_000
+    ints = engine._full_noise(law, make_rng(64), b, n)
+    floats = law.sample(make_rng(64), (b, n, n))
+    assert ints.dtype == np.int32
+    np.testing.assert_array_equal(engine._full_steps(DYADIC_START[:n], ints),
+                                  per_step_loop(DYADIC_START[:n], floats))
+    # the narrowest type that holds every sum of the block's draws
+    bern = BernoulliLaw(0.5)
+    assert [noise._sum_type(bern, t) for t in (127, 128, 32_767, 32_768)] \
+        == [np.int8, np.int16, np.int16, np.int32]
+    assert noise._sum_type(THREE_ATOM, 10_922) is np.int16
+    assert noise._sum_type(THREE_ATOM, 10_923) is np.int32
+
+
+def test_full_steps_above_the_crossover_draws_floats():
+    law = BernoulliLaw(0.5)
+    assert engine._full_noise(law, make_rng(65), 20, 13).dtype == float
+    assert engine._full_noise(law, make_rng(65), 20, 12).dtype == np.int8
+
+
+@pytest.mark.parametrize("index, law, n, want", [
+    (4, BernoulliLaw(0.5), 4,
+     ("0x1.ffb13b13b13b1p-1", "0x1.187a48fa33dd2p-12",
+      "0x1.76844abfca43cp-11", "0x1.da78d44812f1ap-2")),
+    (5, THREE_ATOM, 3,
+     ("-0x1.44ec4ec4ec4ecp-6", "0x1.70698410c5ed7p-10",
+      "0x1.4314f65fec894p-6", "0x1.c6a59d849f142p-2"))])
+def test_full_steps_integer_speed_estimates_are_pinned(index, law, n, want):
+    # the benchmark's bernoulli_n4 and lattice3_n3 runs at seed 1: the
+    # estimate's bits, and the next uniform of the stream after it, as the
+    # float scan with its sequential chunk starts gave them
+    rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence(
+        [1, index])))
+    est = engine.estimate_speed(law, n, front=lse_front(1.0), t_burn=200,
+                                t_run=10_000, rng=rng, n_batches=64)
+    got = (est.value, est.std_err, est.sigma2, rng.random())
+    assert got == tuple(float.fromhex(h) for h in want)
+
+
 @pytest.mark.parametrize("law", [GumbelLaw(loc=0.3, rate=1.5),
                                  SandwichedGumbelLaw(-0.3, 0.3)])
 @pytest.mark.parametrize("n", [2, 5, 12])
 def test_full_steps_continuous_noise_moves_only_by_round_off(law, n):
     start = make_rng(60).normal(size=n) * 3.0
-    for b in BLOCK_LENGTHS:
+    for b in BLOCK_LENGTHS + RECURSIVE_LENGTHS:
         noise = law.sample(make_rng(b), (b, n, n))
         np.testing.assert_allclose(engine._full_steps(start, noise),
                                    per_step_loop(start, noise),
@@ -682,10 +751,15 @@ def test_full_block_is_sized_within_the_bound(n):
         assert 1 <= b <= steps
         used = engine._full_step_elements(n, b)
         assert used <= bound
-        # the scan's chunk-major copy and product temporary count too
+        # the scan's chunk-major copy and product temporary count too, and
+        # the scan of the c - 1 chunk products adds its own two
         chunk = engine._chunk_length(n, b)
         if chunk > 1:
-            assert used == 2 * b * n * n + n ** 3 * (b // chunk)
+            c = b // chunk
+            inner = engine._full_step_elements(n, c - 1) - (c - 1) * n * n
+            assert used == 2 * b * n * n + n ** 3 * c + inner
+            if engine._chunk_length(n, c - 1) == 1:
+                assert inner == 0
         # and the block is not cut much below the bound
         assert b == steps or used > 0.99 * bound
 

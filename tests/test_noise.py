@@ -206,6 +206,20 @@ def test_lattice_sample_frequencies(rng):
         assert abs(f - p) < 4 * math.sqrt(p * (1 - p) / 60_000)
 
 
+@pytest.mark.parametrize("law", [BernoulliLaw(p=0.3), THREE_ATOM])
+def test_integer_draws_are_the_float_draws(law):
+    # an integer dtype takes the same uniforms and gives the same values;
+    # a draw with no size is a float, the first of a block's
+    rng, ref = make_rng(30), make_rng(30)
+    ints = law.sample(rng, (50, 3, 3), dtype=np.int16)
+    floats = law.sample(ref, (50, 3, 3))
+    assert ints.dtype == np.int16 and floats.dtype == float
+    np.testing.assert_array_equal(ints, floats)
+    assert repr(rng.bit_generator.state) == repr(ref.bit_generator.state)
+    one = law.sample(make_rng(31))
+    assert isinstance(one, float) and one == law.sample(make_rng(31), 4)[0]
+
+
 def test_lattice_validation():
     with pytest.raises(ValueError):
         LatticeLaw(top=0, atoms=((0, 0.5), (0, 0.5)))
