@@ -177,7 +177,8 @@ def _zchain_cell(dist, n, q, probs, mode, steps, rng):
         q_out = float(qv)
     else:
         law = _lattice_law(probs)
-        rep, sim = zchain._lattice_speed_sim(law, n, steps, rng)
+        rep = zchain.lattice_speed(law, n)
+        sim = zchain.lattice_chain_sim(law, n, steps, rng)
         v_exact, gap = rep.value, rep.ladder.sum()
         q_out = 1.0 - law.prob_of(law.top)
     scale = q_out ** (n * n) * 2.0 ** n
@@ -423,7 +424,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--report", choices=["speed", "hitting", "ladder"],
                    default="speed")
     p.add_argument("--steps", type=int, default=100_000,
-                   help="simulation steps for the v_sim column")
+                   help="simulation steps for the v_sim column (at least "
+                        "32, and 100 on lattice rows)")
     p.add_argument("--emit", choices=["csv", "json"], default="csv")
 
     p = sub.add_parser("profile", help="front-profile tests and dumps")

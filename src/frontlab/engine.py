@@ -600,6 +600,8 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     into ``n_batches`` equal batches of front increments; the reported
     sigma2 is the batch-means estimate of the per-step CLT variance and
     std_err is the usual batch-means standard error of the mean increment.
+    Only the fronts at the batch edges are taken, so a run holds one block
+    of positions at a time, however long it is.
     """
     if rng is None:
         rng = np.random.default_rng()
@@ -614,8 +616,16 @@ def estimate_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,
     if t_burn:
         # a copy, so that the burn-in's last block is not kept alive
         pos = _last_two(law, t_burn, rng, pos)[1].copy()
-    fronts = [front.rows(b) for b in _position_blocks(law, t_run, rng, pos)]
-    return batch_means(np.concatenate(([front(pos)], *fronts)), n_batches)
+    length = t_run // n_batches
+    edges, done = [[front(pos)]], 0
+    for block in _position_blocks(law, t_run, rng, pos):
+        # the block's rows after steps k * length, up to the last whole
+        # batch: the steps past it are run, not counted, as in batch_means
+        at = np.arange(length - 1 - done % length,
+                       min(block.shape[0], length * n_batches - done), length)
+        edges.append(front.rows(block[at]))
+        done += block.shape[0]
+    return _edge_means(np.concatenate(edges), length)
 
 
 def renewal_speed(law: NoiseLaw, n: int, front: FrontFunctional = MAX_FRONT,

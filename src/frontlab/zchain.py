@@ -5,9 +5,7 @@ Markov chain on {0, ..., N}: from count m the next count is Binomial(N,
 1 - q^m) (exponent N when m = 0, everyone having collapsed onto the old
 leader). Its stationary law gives the front speed exactly, and hitting-time
 decompositions between the full state N and the empty state 0 expose the
-doubly exponential finite-N speed correction q^{N^2} 2^N. Its simulation
-is the depth chain's walk (below) on the two-point law {1: 1 - q, 0: q},
-whose rows are these bit for bit.
+doubly exponential finite-N speed correction q^{N^2} 2^N.
 
 General bounded integer jumps are handled by the depth-count chain: the state
 counts particles at depths 0, -1, ..., -span behind the current leader
@@ -27,13 +25,14 @@ landing classes (the leader is a parent, so classes lie in [bottom, top] and
 few sets occur), the level's class laws come from one table of scalar
 powers F^c, and the level's states with one class set form their
 multinomial masses together. The rows are bit-identical to a
-per-composition scalar loop. Both chain simulations are
-one inverse-CDF walk on the compositions in reverse lexicographic order
-(for the two-point law, the leader counts): one uniform a step, and the
-composition ``bisect_right`` finds on the state's cumulative masses. Up to
-256 merged thresholds, blocks of steps run as a two-level scan over the
-steps' maps, bit for bit the bisect loop's. The walk enumerates the chain
-first, so it stops at the exact solve's 4096-state cap.
+per-composition scalar loop.
+
+Of the two chain simulations, ``bernoulli_chain_sim`` walks the leader
+counts by inverse CDF: one uniform a step, and the count ``bisect_right``
+finds on the cumulative row of ``bernoulli_matrix``. Up to 256 merged
+thresholds, blocks of steps run as a two-level scan over the steps' maps,
+bit for bit the bisect loop's. ``lattice_chain_sim`` runs the particle
+system itself, so it shares nothing with the depth chain it checks.
 
 Stationary laws, return times and hitting analyses all come from one
 Grassmann-Taksar-Heyman elimination, which never subtracts: float results are
@@ -60,7 +59,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .engine import SpeedEstimate, _check_batches, _edge_means
+from .engine import SpeedEstimate, _check_batches, _edge_means, estimate_speed
 from .noise import LatticeLaw
 
 __all__ = [
@@ -428,14 +427,21 @@ def bernoulli_chain_sim(n: int, q, steps: int, rng: np.random.Generator,
                         n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
     """Simulated chain speed: fraction of steps whose new count is >= 1.
 
-    The walk of ``lattice_chain_sim`` on the two-point law {1: 1 - q,
-    0: q}. Its reversed compositions are the leader counts, with the masses
-    of ``bernoulli_matrix`` bit for bit: each uniform moves to the count
-    ``bisect_right`` finds on the rows that ``bernoulli_speed`` solves.
+    An inverse-CDF walk (``_walk``) from count n on the rows that
+    ``bernoulli_speed`` solves: each uniform moves to the count
+    ``bisect_right`` finds on the current row's cumulative masses. Chains
+    past ``_MAX_STATES`` counts are refused before anything is allocated.
     """
     q = parse_q(q)
-    return _chain_sim(LatticeLaw(top=1, atoms=((1, 1.0 - q), (0, q))), n,
-                      steps, rng, n_batches)
+    _check_batches(n_batches, steps)
+    if n < 1:
+        raise ValueError("need n >= 1")
+    if n + 1 > _MAX_STATES:
+        raise RuntimeError(f"leader-count chain exceeds {_MAX_STATES} "
+                           f"states, the walk's bound")
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    return _walk_means(cdf, steps, rng, n_batches)
 
 
 # ---------------------------------------------------------------------------
@@ -668,21 +674,13 @@ class _Chain(NamedTuple):
     target: np.ndarray     # source[e] to state target[e]
     mass: np.ndarray       # with probability mass[e], once per pair
     cums: np.ndarray       # (states, classes) cumulative class laws
-    moves: list | None     # walk only: per state, its compositions'
-                           # arrivals and cumulative masses
-    arrivals: list | None  # walk only: the (successor, phi) pairs
 
 
-def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
-                   walk: bool = False) -> _Chain:
+def _lattice_chain(law: LatticeLaw, n: int, max_states: int) -> _Chain:
     """BFS the reachable depth states from all-at-leader; sparse rows.
 
     ``cums[i]`` is the cumulative landing-class law from state i (so
-    ``cums[i][r]^n`` is the chance the step displacement stays <= class
-    r). With ``walk``, ``moves[i]`` holds the arrivals and cumulative
-    masses (the last set to 1) of state i's compositions in reverse
-    lexicographic order; an arrival is a (successor, leader displacement
-    phi) pair, numbered in ``arrivals``.
+    ``cums[i][r]^n`` is the chance the step displacement stays <= class r).
 
     A state's successors are the compositions of n over its occupied
     landing classes, recentered. Landing classes lie in [law.bottom,
@@ -693,11 +691,11 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
     masses are one gather per class into a (states, compositions) block,
     multiplied in the order of a scalar multinomial pmf (coefficient, then
     each class's power in class order) from scalar powers; one
-    ``bincount`` sums each target's masses in composition order, and one
-    ``cumsum`` gives the walk's masses. So rows are bit-identical to a
-    per-composition loop. A level's new class sets are met in state order
-    and number new states in order of first appearance, as a state-by-
-    state BFS does. Blocks hold at most ``_CHAIN_BLOCK`` entries.
+    ``bincount`` sums each target's masses in composition order. So rows
+    are bit-identical to a per-composition loop. A level's new class sets
+    are met in state order and number new states in order of first
+    appearance, as a state-by-state BFS does. Blocks hold at most
+    ``_CHAIN_BLOCK`` entries.
     """
     if n < 1:
         raise ValueError("need n >= 1")
@@ -708,12 +706,10 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
     start[-1] = n
     keys = [start.tobytes()]   # the states' bytes, in BFS order
     index = {keys[0]: 0}
-    arrivals = {(0, law.top): 0}
-    source, target, mass, cums, moves = [], [], [], [], []
+    source, target, mass, cums = [], [], [], []
     # per class count k: the compositions of n into k parts, coefficients;
-    # per class set: its classes, those, the successor columns, each
-    # composition's position among them, and the compositions' arrivals,
-    # reversed
+    # per class set: its classes, those, the successor columns and each
+    # composition's position among them
     compositions, layouts = {}, {}
     lo = 0
     while lo < len(keys):
@@ -726,7 +722,6 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
         for i, classes in enumerate(
                 occupied.view(f"V{offsets.size}").ravel().tolist()):
             groups.setdefault(classes, []).append(i)
-        level = [None] * (hi - lo)
         for classes, members in groups.items():
             if classes not in layouts:
                 support = np.flatnonzero(occupied[members[0]])
@@ -734,7 +729,7 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
                 if k not in compositions:
                     compositions[k] = _compositions(n, k)
                 comps, coeff = compositions[k]
-                targets, phi = _recenter(offsets[support], comps, window)
+                targets, _ = _recenter(offsets[support], comps, window)
                 arriving = targets.view(f"V{8 * window}").ravel().tolist()
                 found = dict.fromkeys(arriving)  # by first appearance
                 for key in found:
@@ -753,14 +748,9 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
                                        dtype=np.intp, count=len(arriving))
                 cols = np.fromiter(found.values(), dtype=np.intp,
                                    count=len(found))
-                arrive = None
-                if walk:
-                    arrive = np.array([
-                        arrivals.setdefault(pair, len(arrivals)) for pair in
-                        zip(cols[position].tolist(), phi.tolist())][::-1])
                 layouts[classes] = (support, comps.T.copy(), coeff, cols,
-                                    position, arrive)
-            support, parts, coeff, cols, position, arrive = layouts[classes]
+                                    position)
+            support, parts, coeff, cols, position = layouts[classes]
             step = max(1, _CHAIN_BLOCK // coeff.size)
             for first in range(0, len(members), step):
                 batch = np.array(members[first:first + step])
@@ -779,20 +769,11 @@ def _lattice_chain(law: LatticeLaw, n: int, max_states: int,
                 source.append(np.repeat(batch + lo, cols.size))
                 target.append(np.tile(cols, g))
                 mass.append(sums)
-                if walk:
-                    cdf = np.cumsum(block[:, ::-1], axis=1)
-                    cdf[:, -1] = 1.0
-                    for i, row in zip(batch.tolist(), cdf):
-                        level[i] = (arrive, row)
-        if walk:
-            moves += level
         lo = hi
     states = np.frombuffer(b"".join(keys), dtype=np.int64)
     return _Chain(list(map(tuple, states.reshape(-1, window).tolist())),
                   np.concatenate(source), np.concatenate(target),
-                  np.concatenate(mass), np.concatenate(cums),
-                  moves if walk else None,
-                  list(arrivals) if walk else None)
+                  np.concatenate(mass), np.concatenate(cums))
 
 
 def lattice_speed(law: LatticeLaw, n: int,
@@ -808,12 +789,7 @@ def lattice_speed(law: LatticeLaw, n: int,
         warnings.warn("lattice_speed: window is ignored; the depth chain "
                       "runs on span + 1 slots, derived from the law",
                       DeprecationWarning, stacklevel=2)
-    return _lattice_report(law, n, _lattice_chain(law, n, _MAX_STATES))
-
-
-def _lattice_report(law: LatticeLaw, n: int,
-                    chain: _Chain) -> LatticeSpeedReport:
-    """``lattice_speed``'s report from the enumerated chain."""
+    chain = _lattice_chain(law, n, _MAX_STATES)
     size = len(chain.states)
     p = np.zeros((size, size))
     p[chain.source, chain.target] = chain.mass
@@ -835,50 +811,34 @@ def _lattice_report(law: LatticeLaw, n: int,
 def lattice_chain_sim(law: LatticeLaw, n: int, steps: int,
                       rng: np.random.Generator,
                       n_batches: int = _SIM_BATCHES) -> SpeedEstimate:
-    """Simulated depth-chain speed: batch means of leader displacements.
+    """Simulated speed of ``lattice_speed``'s chain: batch means of the
+    max front's increments over a run of the particle system itself.
 
-    An inverse-CDF walk (``_walk``) on the chain ``lattice_speed``
-    enumerates, stopped at the same ``_MAX_STATES`` cap before the walk
-    allocates anything. One uniform a step, not ``lattice_step``'s
-    multinomial, so a seed's estimates differ from a ``lattice_step`` loop.
+    ``engine.estimate_speed`` from all n particles at 0, with no burn-in:
+    the chain's start state, all-at-leader. The run shares nothing with
+    the enumerated chain, so it checks the exact solve; it needs
+    ``steps`` >= 100.
     """
-    return _chain_sim(law, n, steps, rng, n_batches)
+    return estimate_speed(law, n, t_burn=0, t_run=steps, rng=rng,
+                          n_batches=n_batches)
 
 
-def _chain_sim(law, n, steps, rng, n_batches) -> SpeedEstimate:
-    """``lattice_chain_sim``; ``bernoulli_chain_sim`` calls it directly, so
-    a tracer counts its steps as its own."""
-    _check_batches(n_batches, steps)
-    return _walk_means(_lattice_chain(law, n, _MAX_STATES, walk=True),
-                       steps, rng, n_batches)
-
-
-def _lattice_speed_sim(law: LatticeLaw, n: int, steps: int,
-                       rng: np.random.Generator,
-                       n_batches: int = _SIM_BATCHES):
-    """``lattice_speed`` and ``lattice_chain_sim`` on one enumeration: the
-    report, and the estimate the simulation would draw from ``rng``."""
-    _check_batches(n_batches, steps)
-    chain = _lattice_chain(law, n, _MAX_STATES, walk=True)
-    return (_lattice_report(law, n, chain),
-            _walk_means(chain, steps, rng, n_batches))
-
-
-def _walk_means(chain: _Chain, steps, rng, n_batches) -> SpeedEstimate:
-    """Batch means of the walk's phis. Each block's phis are summed per
-    batch as the walk goes: only the batch edges are kept, exact sums."""
+def _walk_means(cdf: np.ndarray, steps, rng, n_batches) -> SpeedEstimate:
+    """Batch means of the walk's leader moves, count >= 1. Each block's
+    moves are summed per batch as the walk goes: only the batch edges are
+    kept, exact sums."""
     length = steps // n_batches
     sums = np.zeros(n_batches, dtype=np.int64)
     start = 0
-    for _, phi in _walk(chain.moves, chain.arrivals, steps, rng):
+    for counts in _walk(cdf, steps, rng):
         # the steps past the last whole batch are walked, not counted
-        part = phi[:max(length * n_batches - start, 0)]
+        part = counts[:max(length * n_batches - start, 0)] != 0
         if part.size:
             batch = np.arange(start // length,
                               (start + part.size - 1) // length + 1)
             sums[batch] += np.add.reduceat(
                 part, np.maximum(batch * length - start, 0), dtype=np.int64)
-        start += phi.size
+        start += counts.size
     return _edge_means(np.concatenate(([0], np.cumsum(sums))), length)
 
 
@@ -890,28 +850,25 @@ def _sim_chunk_length(cuts: int, b: int) -> int:
     return max(1, math.isqrt(b // 32)) if cuts <= _SIM_SCAN_MAX_CUTS else 1
 
 
-def _step_maps(cuts: np.ndarray, moves: list) -> np.ndarray:
-    """The (bins, states) table of the step maps. A uniform u < 1 has bin
+def _step_maps(cuts: np.ndarray, cdf: np.ndarray) -> np.ndarray:
+    """The (bins, counts) table of the step maps. A uniform u < 1 has bin
     b = #{cuts <= u}, and each row's entries compare with every u of one bin
-    alike, so from state i it takes composition k = #{row-i entries <=
-    cuts[b - 1]} (0 in bin 0), ``bisect_right``'s index as the rows rise to
-    1, and k's arrival."""
-    table = np.zeros((cuts.size + 1, len(moves)), dtype=np.intp)
-    k = np.zeros(cuts.size + 1, dtype=np.intp)
-    for i, (arrive, cdf) in enumerate(moves):
-        k[1:] = np.count_nonzero(cdf <= cuts[:, None], axis=1)
-        table[:, i] = arrive[k]
+    alike, so from count m it goes to count #{row-m entries <= cuts[b - 1]}
+    (0 in bin 0), ``bisect_right``'s index as the rows rise to 1."""
+    table = np.zeros((cuts.size + 1, len(cdf)), dtype=np.intp)
+    for m, row in enumerate(cdf):
+        table[1:, m] = np.count_nonzero(row <= cuts[:, None], axis=1)
     return table
 
 
 def _scan_walk(cuts: np.ndarray, table: np.ndarray, m: int, u: np.ndarray,
                chunk: int, out: np.ndarray) -> int:
-    """Walk the c * L uniforms ``u`` from arrival m as a two-level scan;
-    write each step's arrival to ``out`` and return the last one.
+    """Walk the c * L uniforms ``u`` from count m as a two-level scan;
+    write each step's count to ``out`` and return the last one.
 
     Each uniform's bin is counted one ``u >= cut`` pass per threshold. Each
     chunk's L-step map comes from L - 1 gathers vectorized over the c
-    chunks, their entry arrivals from c lookups in Python lists, and every
+    chunks, their entry counts from c lookups in Python lists, and every
     step from L more gathers. The chunk axis is kept last, so every gather
     runs over contiguous rows of length c.
     """
@@ -925,7 +882,7 @@ def _scan_walk(cuts: np.ndarray, table: np.ndarray, m: int, u: np.ndarray,
     # the flat table
     base = np.ascontiguousarray(bins.reshape(c, chunk).T, dtype=np.intp)
     base *= size
-    # ends[s, k]: the arrival after chunk k's steps so far, from arrival s
+    # ends[s, k]: the count after chunk k's steps so far, from count s
     ends = table.take(base[0] + np.arange(size)[:, None])
     for j in range(1, chunk):
         ends += base[j]
@@ -943,51 +900,47 @@ def _scan_walk(cuts: np.ndarray, table: np.ndarray, m: int, u: np.ndarray,
     return m
 
 
-def _walk(moves: list, arrivals: list, steps: int, rng: np.random.Generator):
-    """``steps`` inverse-CDF steps from all-at-leader on the chain of
-    ``_lattice_chain``; yields each block's arrivals and phis.
+def _walk(cdf: np.ndarray, steps: int, rng: np.random.Generator):
+    """``steps`` inverse-CDF steps from count n on the leader-count chain
+    whose cumulative rows (the last entry of each set to 1) are ``cdf``;
+    yields each block's counts.
 
-    A step draws one uniform u and takes the composition at
-    ``bisect_right(cdf, u)`` on its state's cumulative masses: the walk's
-    states are the arrivals (for the two-point law, the leader counts).
-    Uniforms come in blocks of ``_SIM_BLOCK``, whose draws concatenate. A
-    step is a map on the arrivals, fixed by the bin of u among the merged
-    thresholds, and maps compose, so the first c * L steps of a block run
-    as a scan (``_scan_walk``), the rest as the bisect loop, bit for bit.
+    A step draws one uniform u and goes to the count ``bisect_right(cdf[m],
+    u)`` from count m. Uniforms come in blocks of ``_SIM_BLOCK``, whose
+    draws concatenate. A step is a map on the counts, fixed by the bin of u
+    among the merged thresholds, and maps compose, so the first c * L steps
+    of a block run as a scan (``_scan_walk``), the rest as the bisect loop,
+    bit for bit.
     """
-    state, hop = np.array(arrivals).T
-    # phis in a signed type just wide enough: a block of them stays small
-    hop = hop.astype(np.min_scalar_type(-1 - abs(hop).max()))
     # the merged thresholds, counted only until the walk cannot scan
     cuts = set()
-    for _, cdf in moves:
-        cuts.update(cdf[cdf < 1.0].tolist())
+    for row in cdf:
+        cuts.update(row[row < 1.0].tolist())
         if len(cuts) > _SIM_SCAN_MAX_CUTS:
             break
     cuts = np.array(sorted(cuts))
     # the first block is the largest: if any block scans, it does
     if _sim_chunk_length(cuts.size, min(steps, _SIM_BLOCK)) > 1:
-        table = _step_maps(cuts, moves)[:, state]
-    # the bisect loop's lists, made on an arrival's first visit: a walk
-    # visits few of a large chain's arrivals
-    arrive, rows = [None] * state.size, [None] * state.size
+        table = _step_maps(cuts, cdf)
+    # the bisect loop's rows, made on a count's first visit: a walk visits
+    # few of a large chain's counts
+    rows = [None] * len(cdf)
 
-    def visit(a):
-        arrive[a], rows[a] = map(np.ndarray.tolist, moves[state[a]])
-        return arrive[a]
+    def visit(m):
+        rows[m] = cdf[m].tolist()
+        return rows[m]
 
-    m = 0
+    m = len(cdf) - 1
     for start in range(0, steps, _SIM_BLOCK):
         u = rng.random(min(_SIM_BLOCK, steps - start))
-        out = np.empty(u.size, dtype=np.min_scalar_type(state.size - 1))
+        out = np.empty(u.size, dtype=np.min_scalar_type(len(cdf) - 1))
         chunk = _sim_chunk_length(cuts.size, u.size)
         done = u.size - u.size % chunk if chunk > 1 else 0
         if done:
             m = _scan_walk(cuts, table, m, u[:done], chunk, out[:done])
-        out[done:] = [m := (arrive[m] or visit(m))[
-                          bisect.bisect_right(rows[m], v)]
+        out[done:] = [m := bisect.bisect_right(rows[m] or visit(m), v)
                       for v in u[done:].tolist()]
-        yield out, hop.take(out)
+        yield out
 
 
 # ---------------------------------------------------------------------------

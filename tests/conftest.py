@@ -29,9 +29,10 @@ class CyclingUniforms:
         self.values, self.drawn = np.asarray(values, dtype=float), 0
 
     def random(self, size):
-        idx = (self.drawn + np.arange(size)) % self.values.size
-        self.drawn += size
-        return self.values[idx]
+        count = int(np.prod(size))
+        idx = (self.drawn + np.arange(count)) % self.values.size
+        self.drawn += count
+        return self.values[idx].reshape(size)
 
 
 class FailingUniforms:

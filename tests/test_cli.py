@@ -164,7 +164,7 @@ def test_zchain_ladder_report(capsys):
 
 
 def test_zchain_lattice_sim_agrees_with_exact(capsys):
-    # the simulation runs the same span + 1 slot chain that lattice_speed
+    # the particle run against the span + 1 slot chain that lattice_speed
     # solves; a two-slot chain, which lumped depth -3, read 6.7 SE off
     probs = '{"type":"lattice","k":0,"probs":[[0,0.4],[-1,0.3],[-3,0.3]]}'
     code, out, _ = run(["zchain", "--dist", "lattice", "--N", "3",
@@ -176,8 +176,9 @@ def test_zchain_lattice_sim_agrees_with_exact(capsys):
 
 
 def test_zchain_lattice_row_enumerates_the_chain_once(monkeypatch):
-    # the exact speed and the simulation share one enumeration, and give
-    # what lattice_speed and lattice_chain_sim give on their own
+    # the exact speed enumerates the chain, the simulation runs the
+    # particles; the row gives what lattice_speed and lattice_chain_sim
+    # give on their own
     law = cli._lattice_law(LATTICE)
     want_exact = zchain.lattice_speed(law, 3).value
     want_sim = zchain.lattice_chain_sim(law, 3, 2000,
@@ -194,6 +195,25 @@ def test_zchain_lattice_row_enumerates_the_chain_once(monkeypatch):
                            np.random.default_rng(5))
     assert len(calls) == 1
     assert row[2:5] == [want_exact, want_sim.value, want_sim.std_err]
+
+
+def test_zchain_lattice_row_catches_a_planted_class_law_defect(monkeypatch):
+    # a landing-class law that puts 1% more mass on the top class (each
+    # row renormalized, so the chain stays a chain) moves the exact speed
+    # by about 9 SE of a 3 * 10^6 step run; a simulation that walked the
+    # enumerated rows would move with it
+    class_laws = zchain._class_laws
+
+    def planted(table, counts):
+        s = class_laws(table, counts)
+        s[:, -1] *= 1.01
+        return s / s.sum(axis=1, keepdims=True)
+
+    monkeypatch.setattr(zchain, "_class_laws", planted)
+    row = cli._zchain_cell("lattice", 2, None, LATTICE, "fast", 3_000_000,
+                           np.random.default_rng(5))
+    v_exact, v_sim, se = row[2:5]
+    assert abs(v_exact - v_sim) > 4 * se
 
 
 def test_zchain_validation_errors(capsys):

@@ -419,6 +419,32 @@ def test_negative_step_counts_are_refused(rng):
     assert run_trajectory(law, 2, 0, rng).shape == (1, 5)
 
 
+@pytest.mark.parametrize("small_blocks", [False, True],
+                         ids=["blocks", "small-blocks"])
+@pytest.mark.parametrize("front", [MAX_FRONT, MIN_FRONT, lse_front(0.7),
+                                   order_front(2)],
+                         ids=["max", "min", "lse", "order"])
+@pytest.mark.parametrize("law, n, steps", [
+    pytest.param(GumbelLaw(), 3, 50_001, id="gumbel"),
+    pytest.param(BernoulliLaw(0.5), 4, 3001, id="bernoulli"),
+    pytest.param(THREE_ATOM, 2, 3001, id="lattice"),
+    pytest.param(SandwichedGumbelLaw(-0.3, 0.3), 5, 1001, id="sandwiched"),
+])
+def test_estimate_speed_reads_the_path_at_batch_edges(monkeypatch, law, n,
+                                                      steps, front,
+                                                      small_blocks):
+    # only the fronts at the batch edges are taken, block by block: the
+    # bits of batch means over the whole front path, edges inside a block,
+    # on its last row or past the last whole batch alike
+    if small_blocks:
+        monkeypatch.setattr(noise, "_BLOCK_ELEMENTS", 40 * n * n)
+        monkeypatch.setattr(noise, "_UNIT_ELEMENTS", 40 * n)
+    est = engine.estimate_speed(law, n, front=front, t_burn=0, t_run=steps,
+                                rng=make_rng(31), n_batches=32)
+    path = run_trajectory(law, n, steps, make_rng(31), front=front)[:, 1]
+    assert est == engine.batch_means(path, 32)
+
+
 # ---------------------------------------------------------------------------
 # the block-wise stepping core
 

@@ -3,7 +3,6 @@ import functools
 import itertools
 import math
 import tracemalloc
-import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -508,19 +507,17 @@ def _ref_bernoulli_sim(n, q, steps, rng, n_batches=32):
     return engine.batch_means(np.cumsum(moved), n_batches)
 
 
-def bernoulli_law(q):
-    """The two-point law whose depth chain bernoulli_chain_sim walks."""
-    return LatticeLaw(top=1, atoms=((1, 1.0 - q), (0, q)))
+def leader_cdf(n, q):
+    """The cumulative rows bernoulli_chain_sim walks, the last entry of
+    each set to 1."""
+    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
+    cdf[:, -1] = 1.0
+    return cdf
 
 
-def walk(law, n, steps, rng):
-    """The simulators' walk, step by step: the depth state after each step
-    and the leader displacement phi."""
-    chain = zchain._lattice_chain(law, n, zchain._MAX_STATES, walk=True)
-    blocks = list(zchain._walk(chain.moves, chain.arrivals, steps, rng))
-    at = np.concatenate([a for a, _ in blocks])
-    phi = np.concatenate([p for _, p in blocks])
-    return [chain.states[chain.arrivals[i][0]] for i in at], phi
+def walk_counts(n, q, steps, rng):
+    """The leader count after each step of bernoulli_chain_sim's walk."""
+    return np.concatenate(list(zchain._walk(leader_cdf(n, q), steps, rng)))
 
 
 def chain_rows(chain):
@@ -533,17 +530,8 @@ def chain_rows(chain):
     return rows
 
 
-def walk_counts(n, q, steps, rng):
-    """Leader counts of the walk on the two-point law: a step that moves
-    the leader lands its count at the top slot; one that does not is
-    count 0."""
-    states, phi = walk(bernoulli_law(q), n, steps, rng)
-    return np.array([s[-1] if p else 0 for s, p in zip(states, phi)])
-
-
 def _cut_count(n, q):
-    cdf = np.cumsum(bernoulli_matrix(n, q), axis=1)
-    cdf[:, -1] = 1.0
+    cdf = leader_cdf(n, q)
     return np.unique(cdf[cdf < 1.0]).size
 
 
@@ -612,7 +600,7 @@ def test_chain_sim_moves_past_uniforms_on_thresholds(monkeypatch, n, q,
     assert len(seen) == (n + 1) * len(cuts)  # every count meets every cut
 
 
-@pytest.mark.parametrize("scan_max_cuts", [zchain._SIM_SCAN_MAX_CUTS, 0],
+@pytest.mark.parametrize("scan_max_n", [engine._SCAN_MAX_N, 0],
                          ids=["scan", "loop"])
 @pytest.mark.parametrize("law,n", [
     pytest.param(THREE_ATOM, 2, id="three-2"),
@@ -621,24 +609,18 @@ def test_chain_sim_moves_past_uniforms_on_thresholds(monkeypatch, n, q,
     pytest.param(DEEP, 2, id="deep"),
 ])
 def test_lattice_chain_sim_moves_past_uniforms_on_thresholds(
-        monkeypatch, law, n, scan_max_cuts):
-    # the same on depth chains, at most 256 thresholds each: every uniform
-    # is 0.0 or an entry of some state's cumulative row
-    rows, start = _ref_walk_rows(law, n)
-    cuts = sorted({0.0, *(c for cdf, _ in rows.values() for c in cdf
-                          if c < 1.0)})
-    assert len(cuts) <= zchain._SIM_SCAN_MAX_CUTS
+        monkeypatch, law, n, scan_max_n):
+    # every uniform is 0.0, exactly a cumulative threshold of the law, or
+    # one in the top atom's bin: on integer noise in the scan, or on float
+    # noise in the per-step loop, each takes the atom bisect_left gives
+    cum = law.cdf_int(law.values)
+    cuts = [0.0, *cum[:-1].tolist(), (cum[-2] + 1.0) / 2]
     values, steps = _threshold_uniforms(cuts)
-    monkeypatch.setattr(zchain, "_SIM_SCAN_MAX_CUTS", scan_max_cuts)
-    states, phi = walk(law, n, steps, CyclingUniforms(values))
-    uniforms = list(itertools.islice(itertools.cycle(values.tolist()), steps))
-    want_states, want_phi = _ref_walk(rows, start, uniforms)
-    assert states == _narrow(law, want_states)
-    assert phi.tolist() == want_phi
-    # ties: steps whose uniform is an entry of the current state's row
-    at = [start, *want_states[:-1]]
-    ties = sum(u in rows[s][0] for s, u in zip(at, uniforms))
-    assert ties >= len(cuts)
+    monkeypatch.setattr(engine, "_SCAN_MAX_N", scan_max_n)
+    got = lattice_chain_sim(law, n, steps, CyclingUniforms(values))
+    uniforms = itertools.islice(itertools.cycle(values.tolist()),
+                                steps * n * n)
+    assert got == _ref_lattice_sim(law, n, uniforms)
 
 
 def test_chain_sim_block_length_does_not_matter(monkeypatch):
@@ -678,33 +660,34 @@ def test_chain_sim_transitions_follow_matrix_rows():
                                   bernoulli_matrix(n, q))
     assert dof >= 4
     assert stats.chi2.sf(stat, dof) >= 1e-6
-    # the depth chain's merged rows, along the walk's states
-    for law, n in ((THREE_ATOM, 3), (FIVE_ATOM, 2)):
-        chain = zchain._lattice_chain(law, n, 500)
-        p = np.zeros((len(chain.states), len(chain.states)))
-        p[chain.source, chain.target] = chain.mass
-        index = {state: i for i, state in enumerate(chain.states)}
-        visited, _ = walk(law, n, 200_000, make_rng(79))
-        stat, dof = _chi2_transitions(
-            np.array([0] + [index[s] for s in visited]), p)
-        assert dof >= 4
-        assert stats.chi2.sf(stat, dof) >= 1e-6, (law, n)
+
+
+def _peak_memory(run):
+    """Peak traced allocation, in bytes, while ``run()`` runs."""
+    tracemalloc.start()
+    try:
+        run()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def test_chain_sim_memory_stays_block_sized():
     # the walk holds a few block-sized arrays at a time and sums each
-    # batch's displacements as it goes, never a steps-long path or an
+    # batch's leader moves as it goes, never a steps-long path or an
     # (n + 1) x steps table
-    for sim in (lambda: bernoulli_chain_sim(2, 0.5, 10**6, make_rng(89)),
-                lambda: lattice_chain_sim(THREE_ATOM, 2, 10**6,
-                                          make_rng(89))):
-        tracemalloc.start()
-        try:
-            sim()
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 4 * 8 * zchain._SIM_BLOCK
+    peak = _peak_memory(
+        lambda: bernoulli_chain_sim(2, 0.5, 10**6, make_rng(89)))
+    assert peak < 4 * 8 * zchain._SIM_BLOCK
+
+
+def test_lattice_chain_sim_memory_stays_block_sized():
+    # the particle run keeps only the fronts at the batch edges: its peak
+    # is one block of noise and positions, whatever the run's length
+    peaks = [_peak_memory(lambda: lattice_chain_sim(THREE_ATOM, 2, steps,
+                                                    make_rng(89)))
+             for steps in (10**6, 4 * 10**6)]
+    assert peaks[1] <= 1.1 * peaks[0]
 
 
 def test_chain_sim_large_n_stays_in_range():
@@ -973,52 +956,23 @@ def test_lattice_chain_equals_per_composition_loop(law, n):
     assert chain.cums.tolist() == [c.tolist() for c in ref_cums]
 
 
-def _ref_walk_rows(law, n):
-    """The reference rows of the chain walk on wide states, by BFS from
-    all-at-leader: per state, the scalar multinomial pmfs of the reversed
-    compositions (the top class's count rising) summed in order, the last
-    sum set to 1, and each composition's recentered state and phi."""
-    window = _wide(law)
-    start = (0,) * (window - 1) + (n,)
-    rows, queue = {}, [start]
-    while queue:
-        state = queue.pop()
-        if state in rows:
-            continue
-        offsets, s = lattice_s(np.array(state), law)
-        support = np.nonzero(s)[0]
-        splits = list(_ref_compositions(n, len(support)))[::-1]
-        cdf = list(itertools.accumulate(
-            _ref_multinomial_pmf(split, s[support]) for split in splits))
-        cdf[-1] = 1.0
-        hops = [_ref_recenter(offsets[support], np.array(split), window)
-                for split in splits]
-        rows[state] = (cdf, hops)
-        queue += [target for target, _ in hops if target not in rows]
-    return rows, start
+def _ref_lattice_sim(law, n, uniforms, n_batches=32):
+    """lattice_chain_sim by hand: each noise entry the law's value at
+    ``bisect_left`` of its uniform on the cumulative masses (a uniform on a
+    threshold takes the lower atom), one max-plus step a row from all n
+    particles at 0, and batch means of the max front."""
+    cum, values = law.cdf_int(law.values).tolist(), law.values.tolist()
+    noise = np.array([values[bisect.bisect_left(cum, u)] for u in uniforms],
+                     dtype=float).reshape(-1, n, n)
+    path = np.zeros(len(noise) + 1)
+    x = np.zeros(n)
+    for t, a in enumerate(noise, 1):
+        x = engine.step_with_noise(x, a)
+        path[t] = x.max()
+    return engine.batch_means(path, n_batches)
 
 
-def _ref_walk(rows, state, uniforms):
-    """One step a uniform: the composition at bisect_right of the uniform
-    on the state's cumulative row. Returns the states and phis."""
-    states, phis = [], []
-    for u in uniforms:
-        cdf, hops = rows[state]
-        state, phi = hops[bisect.bisect_right(cdf, u)]
-        states.append(state)
-        phis.append(phi)
-    return states, phis
-
-
-def _narrow(law, states):
-    """Wide reference states on the span + 1 slots, which hold them."""
-    slots = law.top - law.bottom + 1
-    assert {state[:-slots] for state in states} <= {(0,) * slots}
-    return [state[-slots:] for state in states]
-
-
-# 1 and L - 1 steps run the bisect loop alone; one block plus one runs a
-# full block's scan (on at most 256 thresholds) and a one-step block
+# 4001 steps run c chunks of the full step's scan and a tail of loop steps
 @pytest.mark.parametrize("law,n", [
     pytest.param(THREE_ATOM, 2, id="three-2"),
     pytest.param(THREE_ATOM, 3, id="three-3"),
@@ -1027,40 +981,57 @@ def _narrow(law, states):
     *RANDOM_SIMS,
 ])
 def test_lattice_chain_sim_equals_step_loop(law, n):
-    rows, start = _ref_walk_rows(law, n)
-    for steps in (1, _CHUNK - 1, zchain._SIM_BLOCK + 1):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            states, phi = walk(law, n, steps, make_rng(61))
-        want_states, want_phi = _ref_walk(rows, start,
-                                          make_rng(61).random(steps))
-        assert states == _narrow(law, want_states), steps
-        assert phi.tolist() == want_phi, steps
-    got = lattice_chain_sim(law, n, 4000, make_rng(61))
-    _, want_phi = _ref_walk(rows, start, make_rng(61).random(4000))
-    assert got == engine.batch_means(np.cumsum([0.0, *want_phi]), 32)
+    # the simulation is the particle system's run, bit for bit a per-step
+    # max-plus loop on the law's inverse-CDF draws: integer noise makes
+    # the scan's sums exact
+    for steps in (100, 4001):
+        got = lattice_chain_sim(law, n, steps, make_rng(61))
+        uniforms = make_rng(61).random(steps * n * n)
+        assert got == _ref_lattice_sim(law, n, uniforms), steps
 
 
-def test_lattice_chain_sim_state_cap(monkeypatch):
-    # the walk enumerates the chain first: the cap stops it before the
-    # walk allocates anything
+@pytest.mark.parametrize("law,n,steps,n_batches", [
+    pytest.param(THREE_ATOM, 2, 3000, 32, id="three-2"),
+    pytest.param(FIVE_ATOM, 5, 1001, 7, id="five-5"),
+    pytest.param(DEEP, 13, 100, 2, id="deep-13"),   # above the scan's N
+    pytest.param(two_point(0.5), 3, 20_001, 32, id="two-point-3"),
+])
+def test_lattice_chain_sim_is_the_particle_run(law, n, steps, n_batches):
+    # estimate_speed from all-at-0 without burn-in, on the same stream
+    got = lattice_chain_sim(law, n, steps, make_rng(67), n_batches=n_batches)
+    assert got == engine.estimate_speed(law, n, t_burn=0, t_run=steps,
+                                        rng=make_rng(67),
+                                        n_batches=n_batches)
+
+
+def test_lattice_chain_sim_needs_100_steps():
+    # the particle run's floor, above the batch count
+    with pytest.raises(ValueError, match="t_run must be >= 100"):
+        lattice_chain_sim(THREE_ATOM, 2, 99, make_rng(0))
+
+
+def test_bernoulli_chain_sim_state_cap(monkeypatch):
+    # the walk's n + 1 counts are capped as lattice_speed's states are:
+    # the cap stops it before the walk allocates anything
     def no_walk(*args):
         raise AssertionError("walk reached past the state cap")
 
     monkeypatch.setattr(zchain, "_MAX_STATES", 3)
+    assert bernoulli_chain_sim(2, 0.5, 1000, make_rng(0)).n_blocks == 32
     monkeypatch.setattr(zchain, "_walk", no_walk)
     with pytest.raises(RuntimeError, match="exceeds 3 states"):
-        lattice_chain_sim(THREE_ATOM, 6, 1000, make_rng(0))
+        bernoulli_chain_sim(3, 0.5, 1000, make_rng(0))
 
 
 @pytest.mark.parametrize("top", [0, 2])
 def test_point_mass_chain_has_one_slot(top):
-    # span 0: one depth slot, one state, and the leader moves by top
+    # span 0: one depth slot, one state, and the leader moves by top; the
+    # particle run needs 100 steps at least
     law = LatticeLaw(top=top, atoms=((top, 1.0),))
     rep = lattice_speed(law, 3)
     assert (rep.value, rep.window, rep.n_states) == (top, 1, 1)
     assert rep.ladder.size == rep.ladder_bounds.size == 0
-    est = lattice_chain_sim(law, 3, 64, make_rng(5))
+    est = lattice_chain_sim(law, 3, 100, make_rng(5))
     assert (est.value, est.std_err) == (top, 0.0)
 
 
